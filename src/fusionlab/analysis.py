@@ -15,24 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 from .core import FusionRule, resolve_level
-from .errors import ExpansionTooLargeError, InvalidRangeError
+from .errors import InvalidRangeError
 from .expand import (
     DEFAULT_BUDGET,
     CellPatch,
     ExpansionBudget,
-    _prefix_labels,
-    _suffix_labels,
+    _ends,
     cell_count,
     expand_supertile,
     occurrences_2d,
     parse_word,
     tile_count,
 )
-from .transition import transition_matrix, volumes
+from .transition import TransitionMatrix, compose, step_matrix, transition_matrix, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +60,11 @@ def primitivity_check(rule: FusionRule, n: int, max_offset: int) -> PrimitivityR
     """
     if max_offset < 1:
         raise InvalidRangeError(n, n + max_offset)
+    m = transition_matrix(rule, n, n)
     for d in range(1, max_offset + 1):
-        if transition_matrix(rule, n, n + d).is_positive():
+        m = compose(m, step_matrix(rule, n + d))
+        if m.is_positive():
             return PrimitivityResult(n, max_offset, d)
-    m = transition_matrix(rule, n, n + max_offset)
     for i, row_label in enumerate(m.row_labels):
         for j, col_label in enumerate(m.col_labels):
             if m.entries[i][j] == 0:
@@ -183,32 +182,38 @@ class FrequencyHull:
     centroid: tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=None)
+def _widest_pair(vertices, vol_n) -> tuple[Fraction, int, int]:
+    """The largest volume-weighted L1 distance between two vertices and the
+    first pair (a, b) attaining it; (0, 0, 0) for a single vertex."""
+    pairs = (
+        (sum(vol_n[i] * abs(vertices[a][i] - vertices[b][i]) for i in range(len(vol_n))), a, b)
+        for a in range(len(vertices))
+        for b in range(a + 1, len(vertices))
+    )
+    return max(pairs, key=lambda pair: pair[0], default=(Fraction(0), 0, 0))
+
+
+def _hull(m: TransitionMatrix, vol_n, vol_N) -> tuple[FrequencyHull, int, int]:
+    """The hull of M_{n,N} and the pair of vertices realizing its diameter."""
+    vertices = tuple(
+        tuple(m.entries[i][j] / vol_N[j] for i in range(len(m.row_labels)))
+        for j in range(len(m.col_labels))
+    )
+    diameter, a, b = _widest_pair(vertices, vol_n)
+    k = len(vertices)
+    centroid = tuple(
+        sum((v[i] for v in vertices), Fraction(0)) / k for i in range(len(vol_n))
+    )
+    hull = FrequencyHull(m.from_level, m.to_level, m.row_labels, m.col_labels, vertices, diameter, centroid)
+    return hull, a, b
+
+
 def frequency_hull(rule: FusionRule, n: int, N: int) -> FrequencyHull:
     """Volume-normalized columns of M_{n,N} plus diameter and centroid."""
     if N <= n:
         raise InvalidRangeError(n, N)
     m = transition_matrix(rule, n, N)
-    vol_n = volumes(rule, n).values
-    vol_N = volumes(rule, N).values
-    vertices = tuple(
-        tuple(m.entries[i][j] / vol_N[j] for i in range(len(m.row_labels)))
-        for j in range(len(m.col_labels))
-    )
-    diameter = Fraction(0)
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            d = sum(
-                vol_n[i] * abs(vertices[a][i] - vertices[b][i])
-                for i in range(len(vol_n))
-            )
-            if d > diameter:
-                diameter = d
-    k = len(vertices)
-    centroid = tuple(
-        sum((v[i] for v in vertices), Fraction(0)) / k for i in range(len(vol_n))
-    )
-    return FrequencyHull(n, N, m.row_labels, m.col_labels, vertices, diameter, centroid)
+    return _hull(m, volumes(rule, n).values, volumes(rule, N).values)[0]
 
 
 @dataclass(frozen=True)
@@ -229,21 +234,6 @@ class ErgodicityReport:
     ] = None
 
 
-def _extremal_pair(hull: FrequencyHull, vol_n) -> tuple[int, int]:
-    best = (0, 0)
-    best_d = Fraction(-1)
-    for a in range(len(hull.vertices)):
-        for b in range(a + 1, len(hull.vertices)):
-            d = sum(
-                vol_n[i] * abs(hull.vertices[a][i] - hull.vertices[b][i])
-                for i in range(len(vol_n))
-            )
-            if d > best_d:
-                best_d = d
-                best = (a, b)
-    return best
-
-
 def ergodicity_report(
     rule: FusionRule,
     n: int,
@@ -261,21 +251,22 @@ def ergodicity_report(
     if depth <= n:
         raise InvalidRangeError(n, depth)
     horizons = tuple(range(n + 1, depth + 1))
-    hulls = [frequency_hull(rule, n, N) for N in horizons]
-    diameters = tuple(h.diameter for h in hulls)
+    vol_n = volumes(rule, n).values
+    hulls = []  # (hull, a, b): one product step per horizon
+    m = transition_matrix(rule, n, n)
+    for N in horizons:
+        m = compose(m, step_matrix(rule, N))
+        hulls.append(_hull(m, vol_n, volumes(rule, N).values))
+    diameters = tuple(h.diameter for h, _, _ in hulls)
     if diameters[-1] < tol:
         verdict = "unique"
         trajectories = None
     elif all(d > floor for d in diameters[-window:]):
         verdict = "multiple"
-        vol_n = volumes(rule, n).values
-        lo_side = []
-        hi_side = []
-        for h in hulls:
-            a, b = _extremal_pair(h, vol_n)
-            lo_side.append((h.vertex_labels[a], h.vertices[a]))
-            hi_side.append((h.vertex_labels[b], h.vertices[b]))
-        trajectories = (tuple(lo_side), tuple(hi_side))
+        trajectories = (
+            tuple((h.vertex_labels[a], h.vertices[a]) for h, a, _ in hulls),
+            tuple((h.vertex_labels[b], h.vertices[b]) for h, _, b in hulls),
+        )
     else:
         verdict = "undecided"
         trajectories = None
@@ -309,12 +300,13 @@ def word_count(
 ) -> int:
     """Exact occurrences of the word in the supertile's expansion.
 
-    Counted recursively: occurrences inside children plus occurrences
-    straddling junctions, read off memoized prefixes/suffixes of length
-    |word|-1. A run of k identical children has k-1 identical junctions, so
-    its cost is constant: supertiles with 10^n children stay cheap. Levels
-    whose children are shorter than the word are counted by brute scan of
-    the (necessarily small-factor) expansion, within budget.
+    Counted bottom-up over the levels: occurrences inside children plus
+    occurrences straddling junctions, read off the children's prefixes and
+    suffixes of length |word|-1. A run of k identical children has k-1
+    identical junctions, so its cost is constant: supertiles with 10^n
+    children stay cheap. Levels whose children are shorter than the word
+    are counted by brute scan of the (necessarily small-factor) expansion,
+    within budget.
     """
     if rule.dimension != 1:
         raise ValueError("word_count is for 1D rules")
@@ -324,47 +316,42 @@ def word_count(
     if m == 0:
         raise ValueError("empty word")
 
-    memo: dict[tuple[int, str], int] = {}
-
-    def rec(lv: int, lab: str) -> int:
-        key = (lv, lab)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    # Visit the supertiles reachable from (level, label) depth-first, in the
+    # order a recursive count visits them, so a brute scan over budget fails
+    # at the same supertile; then sum the rest bottom-up, level by level.
+    counts: dict[tuple[int, str], int] = {}
+    summed = []
+    stack = [(level, label)]
+    while stack:
+        key = stack.pop()
+        if key in counts:
+            continue
+        lv, lab = key
         if tile_count(rule, lv, lab) < m:
-            memo[key] = 0
-            return 0
-        if lv == 0:
-            out = 1 if labels == (lab,) else 0
-            memo[key] = out
-            return out
-        s = resolve_level(rule, lv).supertile(lab)
-        if any(tile_count(rule, lv - 1, p.child) < m for p in s.body):
-            # a word can straddle more than one junction here; scan outright
-            predicted = cell_count(rule, lv, lab)
-            if predicted > budget.max_cells:
-                raise ExpansionTooLargeError(predicted, budget.max_cells)
-            seq = expand_supertile(rule, lv, lab, budget).labels
-            out = sum(1 for i in range(len(seq) - m + 1) if seq[i : i + m] == labels)
-            memo[key] = out
-            return out
-        out = 0
-        for p in s.body:
-            out += p.repeat * rec(lv - 1, p.child)
-        # junctions: inside runs of one child, then between adjacent runs
-        for p in s.body:
-            if p.repeat > 1:
-                sfx = _suffix_labels(rule, lv - 1, p.child, m - 1)
-                pfx = _prefix_labels(rule, lv - 1, p.child, m - 1)
-                out += (p.repeat - 1) * _cross_count(sfx, pfx, labels)
-        for a, b in zip(s.body, s.body[1:]):
-            sfx = _suffix_labels(rule, lv - 1, a.child, m - 1)
-            pfx = _prefix_labels(rule, lv - 1, b.child, m - 1)
-            out += _cross_count(sfx, pfx, labels)
-        memo[key] = out
-        return out
-
-    return rec(level, label)
+            counts[key] = 0
+        elif lv == 0:
+            counts[key] = 1 if labels == (lab,) else 0
+        else:
+            s = resolve_level(rule, lv).supertile(lab)
+            counts[key] = 0
+            if any(tile_count(rule, lv - 1, p.child) < m for p in s.body):
+                # a word can straddle more than one junction here; scan outright
+                seq = expand_supertile(rule, lv, lab, budget).labels
+                counts[key] = sum(1 for i in range(len(seq) - m + 1) if seq[i : i + m] == labels)
+            else:
+                summed.append((lv, s))
+                stack.extend((lv - 1, p.child) for p in reversed(s.body))
+    ends = _ends(rule, level - 1, m - 1) if summed and m > 1 else None
+    for lv, s in sorted(summed, key=lambda item: item[0]):
+        out = sum(p.repeat * counts[(lv - 1, p.child)] for p in s.body)
+        if ends is not None:
+            # junctions: inside runs of one child, then between adjacent runs
+            joins = [(p.child, p.child, p.repeat - 1) for p in s.body]
+            joins += [(a.child, b.child, 1) for a, b in zip(s.body, s.body[1:])]
+            row = ends[lv - 1]
+            out += sum(k * _cross_count(row[x][1], row[y][0], labels) for x, y, k in joins if k)
+        counts[(lv, s.label)] = out
+    return counts[(level, label)]
 
 
 def patch_count_2d(

@@ -8,7 +8,8 @@ success or failure - emits exactly one envelope:
 printed deterministically (sorted keys, fixed indentation). Exact numbers
 are strings: integers in decimal, rationals as "p/q" (plain decimal string
 when the denominator is 1); convenience floats live in keys suffixed
-_approx. Exit codes: 0 success, 1 domain error, 2 usage error.
+_approx. Exit codes: 0 success, 1 domain error or internal fault, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -491,6 +492,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(_dump(_envelope(argv, None, _error_diagnostics(e))))
         else:
             sys.stderr.write(f"error: {e}\n")
+        return 1
+    except Exception as e:  # a fault inside a handler still ends in one envelope
+        message = type(e).__name__ + (f": {e}" if str(e) else "")
+        if want_json:
+            diagnostic = {"severity": "error", "code": "internal-error", "message": message}
+            sys.stdout.write(_dump(_envelope(argv, None, [diagnostic])))
+        else:
+            sys.stderr.write(f"internal error: {message}\n")
         return 1
     if getattr(args, "json", False):
         sys.stdout.write(_dump(_envelope(argv, result, [])))

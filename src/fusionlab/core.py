@@ -6,17 +6,21 @@ Guards are boolean predicates over the level variable n, so a single rule
 text covers every level; resolving a level evaluates the guards and all
 integer expressions (repeats, offsets) into concrete placements.
 
-Everything here is immutable and hashable, which the caching layers in the
-transition and expansion modules rely on. All arithmetic is exact: Python
-integers for counts and sizes, fractions.Fraction for volumes.
+Rules are immutable. What is derived from a rule level by level (its
+resolutions, bounding boxes, tile/cell counts, volumes and word ends) lives
+in a private table on the rule object, as lists indexed by level. A list is
+filled by a loop up to the highest level asked for, so no level costs a
+stack frame, and the table is freed with its rule. All arithmetic is exact:
+Python integers for counts and sizes, fractions.Fraction for volumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Optional, Union
+from functools import cached_property
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .errors import (
     EmptyLevelError,
@@ -248,6 +252,32 @@ class FusionRule:
                 return p
         raise KeyError(name)
 
+    @cached_property
+    def _levels(self) -> dict[object, list]:
+        # derived lists keyed by what they hold, each indexed by level; not
+        # a dataclass field, so it takes no part in eq, hash or repr
+        return {}
+
+
+# Keeps threads that share a rule from appending one level twice.
+_FILL_LOCK = threading.RLock()
+
+
+def _level_rows(rule: FusionRule, key, n: int, row: Callable[[int, Any], Any]) -> list:
+    """The rule's list `key`, filled through index n.
+
+    Missing entries are appended in order, entry k built by row(k, entry
+    k - 1) (None for k == 0), so any level costs a loop, not stack frames.
+    """
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    rows = rule._levels.setdefault(key, [])
+    if len(rows) <= n:
+        with _FILL_LOCK:
+            for k in range(len(rows), n + 1):
+                rows.append(row(k, rows[-1] if rows else None))
+    return rows
+
 
 # ---------------------------------------------------------------------------
 # Level resolution
@@ -290,7 +320,6 @@ class LevelResolution:
         raise KeyError(label)
 
 
-@lru_cache(maxsize=None)
 def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
     """Resolve the definitions active at level n.
 
@@ -298,68 +327,84 @@ def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
     holds wins. Repeats and offsets are evaluated with the previous level's
     bounding boxes available through w()/h().
     """
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    if n == 0:
-        tiles = tuple(ResolvedSupertile(p.name, ()) for p in rule.prototiles)
-        return LevelResolution(0, tiles)
 
-    dims = level_sizes(rule, n - 1)
-    taken: dict[str, ResolvedSupertile] = {}
-    order: list[str] = []
-    for d in rule.definitions:
-        if d.label in taken:
-            continue
-        if not eval_guard(d.guard, n):
-            continue
-        body = []
-        for p in d.body:
-            if p.child not in dims:
-                raise UndefinedLabelError(p.child, n)
-            r = eval_expr(p.repeat, n, dims)
-            if r < 1:
-                raise InvalidRepeatError(d.label, n, r)
-            off = None
-            if p.offset is not None:
-                off = (eval_expr(p.offset[0], n, dims), eval_expr(p.offset[1], n, dims))
-            body.append(ResolvedPlacement(p.child, r, off))
-        taken[d.label] = ResolvedSupertile(d.label, tuple(body))
-        order.append(d.label)
-    if not order:
-        raise EmptyLevelError(n)
-    return LevelResolution(n, tuple(taken[lab] for lab in order))
+    def row(k: int, _) -> LevelResolution:
+        if k == 0:
+            return LevelResolution(0, tuple(ResolvedSupertile(p.name, ()) for p in rule.prototiles))
+        dims = level_sizes(rule, k - 1)
+        taken: dict[str, ResolvedSupertile] = {}
+        for d in rule.definitions:
+            if d.label in taken or not eval_guard(d.guard, k):
+                continue
+            body = []
+            for p in d.body:
+                if p.child not in dims:
+                    raise UndefinedLabelError(p.child, k)
+                r = eval_expr(p.repeat, k, dims)
+                if r < 1:
+                    raise InvalidRepeatError(d.label, k, r)
+                off = None
+                if p.offset is not None:
+                    off = (eval_expr(p.offset[0], k, dims), eval_expr(p.offset[1], k, dims))
+                body.append(ResolvedPlacement(p.child, r, off))
+            taken[d.label] = ResolvedSupertile(d.label, tuple(body))
+        if not taken:
+            raise EmptyLevelError(k)
+        return LevelResolution(k, tuple(taken.values()))
+
+    return _level_rows(rule, "resolutions", n, row)[n]
 
 
-@lru_cache(maxsize=None)
 def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:
     """Bounding boxes (width, height) of every level-n supertile.
 
-    Computed recursively from placements without expanding cells, so this
-    stays cheap even where expansions would be astronomically large.
+    Computed from placements without expanding cells, so this stays cheap
+    even where expansions would be astronomically large.
     """
-    if n == 0:
-        return {p.name: p.size() for p in rule.prototiles}
-    prev = level_sizes(rule, n - 1)
-    res = resolve_level(rule, n)
-    out: dict[str, tuple[int, int]] = {}
-    for s in res.supertiles:
-        if rule.dimension == 1:
-            out[s.label] = (sum(p.repeat * prev[p.child][0] for p in s.body), 1)
-        else:
-            # children are anchored at their bbox min corner, so each spans
-            # [off, off + size) per axis
-            xs = []
-            ys = []
-            for p in s.body:
-                ox, oy = p.offset if p.offset is not None else (0, 0)
-                w, h = prev[p.child]
-                xs.append((ox, ox + w))
-                ys.append((oy, oy + h))
-            out[s.label] = (
-                max(b for _, b in xs) - min(a for a, _ in xs),
-                max(b for _, b in ys) - min(a for a, _ in ys),
-            )
-    return out
+
+    def row(k: int, prev) -> dict[str, tuple[int, int]]:
+        if k == 0:
+            return {p.name: p.size() for p in rule.prototiles}
+        out: dict[str, tuple[int, int]] = {}
+        for s in resolve_level(rule, k).supertiles:
+            if rule.dimension == 1:
+                out[s.label] = (sum(p.repeat * prev[p.child][0] for p in s.body), 1)
+            else:
+                # children are anchored at their bbox min corner, so each spans
+                # [off, off + size) per axis
+                xs = []
+                ys = []
+                for p in s.body:
+                    ox, oy = p.offset if p.offset is not None else (0, 0)
+                    w, h = prev[p.child]
+                    xs.append((ox, ox + w))
+                    ys.append((oy, oy + h))
+                out[s.label] = (
+                    max(b for _, b in xs) - min(a for a, _ in xs),
+                    max(b for _, b in ys) - min(a for a, _ in ys),
+                )
+        return out
+
+    return _level_rows(rule, "sizes", n, row)[n]
+
+
+def _weighted_sums(rule: FusionRule, n: int, key: str, weight: Callable[[Prototile], Any]) -> dict[str, Any]:
+    """Per-label totals of a prototile weight over the level-n supertiles,
+    kept in the rule's list `key`: tile counts, cell counts or volumes.
+
+    Level 0 is the weight of each prototile; each higher level sums repeat
+    x child total over each body.
+    """
+
+    def row(k: int, prev) -> dict[str, Any]:
+        if k == 0:
+            return {p.name: weight(p) for p in rule.prototiles}
+        return {
+            s.label: sum(p.repeat * prev[p.child] for p in s.body)
+            for s in resolve_level(rule, k).supertiles
+        }
+
+    return _level_rows(rule, key, n, row)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +445,12 @@ def _connected(cells: set[tuple[int, int]]) -> bool:
     return len(seen) == len(cells)
 
 
+def _ispow_bases(guard: Guard) -> list[int]:
+    if isinstance(guard, IsPow):
+        return [guard.base]
+    return [b for part in vars(guard).values() if isinstance(part, Guard) for b in _ispow_bases(part)]
+
+
 def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
     """Check the structural invariants and resolve levels 1..depth.
 
@@ -435,10 +486,16 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} repeats a cell"))
             elif not _connected(set(cells)):
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} is not edge-connected"))
+            if min(x for x, _ in cells) != 0 or min(y for _, y in cells) != 0:
+                out.append(Diagnostic("bad-shape", f"cells of prototile {p.name!r} are not anchored at min x = min y = 0"))
 
     for d in rule.definitions:
         if not d.body:
             out.append(Diagnostic("empty-body", f"definition of {d.label!r} has no placements", label=d.label))
+        for base in _ispow_bases(d.guard):
+            if base < 2:
+                # eval_guard would loop forever on base 1 and divide by zero on 0
+                out.append(Diagnostic("bad-ispow", f"ispow base must be >= 2, got {base}", label=d.label))
         for p in d.body:
             if rule.dimension == 1 and p.offset is not None:
                 out.append(Diagnostic("offset-in-1d", f"1D placement of {p.child!r} carries an offset", label=d.label))

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional, Union
 
-from .core import FusionRule, resolve_level
+from .core import FusionRule, _level_rows, _weighted_sums, resolve_level
 from .errors import (
     DisconnectedError,
     ExpansionTooLargeError,
@@ -163,24 +162,14 @@ def _check_connected(cells: set[Cell]) -> None:
         raise DisconnectedError(tuple(sorted(sizes, reverse=True)))
 
 
-@lru_cache(maxsize=None)
 def tile_count(rule: FusionRule, level: int, label: str) -> int:
     """Number of level-0 tiles in the supertile, without expanding."""
-    if level == 0:
-        rule.prototile(label)  # raises KeyError for unknown labels
-        return 1
-    s = resolve_level(rule, level).supertile(label)
-    return sum(p.repeat * tile_count(rule, level - 1, p.child) for p in s.body)
+    return _weighted_sums(rule, level, "tiles", lambda p: 1)[label]
 
 
-@lru_cache(maxsize=None)
 def cell_count(rule: FusionRule, level: int, label: str) -> int:
     """Number of cells the expanded supertile would occupy."""
-    if level == 0:
-        p = rule.prototile(label)
-        return len(p.cells) if p.cells is not None else p.length
-    s = resolve_level(rule, level).supertile(label)
-    return sum(p.repeat * cell_count(rule, level - 1, p.child) for p in s.body)
+    return _weighted_sums(rule, level, "cells", lambda p: len(p.cells) if p.cells is not None else p.length)[label]
 
 
 def expand_supertile(
@@ -241,13 +230,7 @@ def expand_supertile(
         memo2[key] = out
         return out
 
-    tiles = rec2(level, label)
-    minx = min(x for (x, _), _ in tiles)
-    miny = min(y for (_, y), _ in tiles)
-    tiles = tuple(((x - minx, y - miny), lab) for (x, y), lab in tiles)
-    cells = _paint_cells(rule, tiles)
-    _check_connected({c for c, _ in cells})
-    return CellPatch(2, cells=cells, tiles=tiles)
+    return CellPatch.from_tiles(rule, rec2(level, label))
 
 
 def tile_census(patch: CellPatch) -> dict[str, int]:
@@ -265,7 +248,6 @@ def tile_census(patch: CellPatch) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def label_chars(rule: FusionRule) -> dict[str, str]:
     """Deterministic label -> single character table.
 
@@ -312,58 +294,47 @@ def parse_word(rule: FusionRule, text: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _prefix_labels(rule: FusionRule, level: int, label: str, length: int) -> tuple[str, ...]:
-    if length <= 0:
-        return ()
-    if level == 0:
-        return (label,)
-    s = resolve_level(rule, level).supertile(label)
-    out: list[str] = []
-    for p in s.body:
-        child_len = tile_count(rule, level - 1, p.child)
-        for _ in range(p.repeat):
-            out.extend(_prefix_labels(rule, level - 1, p.child, length - len(out)))
-            if len(out) >= length:
-                return tuple(out[:length])
-            # further copies of this child only repeat the same labels
-            if child_len >= length:
-                break
-    return tuple(out[:length])
+def _ends(rule: FusionRule, level: int, length: int) -> list[dict[str, tuple[tuple[str, ...], tuple[str, ...]]]]:
+    """Per level 0..level, each supertile's first and last min(length, size)
+    labels, built from its children's ends; nothing is expanded."""
 
+    def head(parts) -> tuple[str, ...]:
+        # the first `length` labels of the (piece, repeat) runs; every copy
+        # adds a label, so no run needs more than `length` copies
+        out: list[str] = []
+        for piece, repeat in parts:
+            for _ in range(min(repeat, length)):
+                out.extend(piece)
+                if len(out) >= length:
+                    return tuple(out[:length])
+        return tuple(out)
 
-@lru_cache(maxsize=None)
-def _suffix_labels(rule: FusionRule, level: int, label: str, length: int) -> tuple[str, ...]:
-    if length <= 0:
-        return ()
-    if level == 0:
-        return (label,)
-    s = resolve_level(rule, level).supertile(label)
-    out: list[str] = []  # collected right-to-left, reversed at the end
-    for p in reversed(s.body):
-        child_len = tile_count(rule, level - 1, p.child)
-        for _ in range(p.repeat):
-            piece = _suffix_labels(rule, level - 1, p.child, length - len(out))
-            out.extend(reversed(piece))
-            if len(out) >= length:
-                return tuple(reversed(out[:length]))
-            if child_len >= length:
-                break
-    return tuple(reversed(out[:length]))
+    def row(k: int, prev) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        if k == 0:
+            return {lab: ((lab,), (lab,)) for lab in rule.prototile_names()}
+        return {
+            # a suffix is the reversed head of the reversed children
+            s.label: (
+                head((prev[p.child][0], p.repeat) for p in s.body),
+                head((prev[p.child][1][::-1], p.repeat) for p in reversed(s.body))[::-1],
+            )
+            for s in resolve_level(rule, k).supertiles
+        }
+
+    return _level_rows(rule, ("ends", length), level, row)
 
 
 def prefix_suffix(rule: FusionRule, level: int, label: str, length: int) -> tuple[str, str]:
     """First and last min(length, size) labels of the expansion, as words.
 
-    Computed recursively, so it works at levels whose full expansion is far
-    beyond any budget.
+    Built level by level from the children's ends, so it works at levels
+    whose full expansion is far beyond any budget.
     """
     if rule.dimension != 1:
         raise ValueError("prefix_suffix is for 1D rules")
     if length < 1:
         raise ValueError("length must be >= 1")
-    pre = _prefix_labels(rule, level, label, length)
-    suf = _suffix_labels(rule, level, label, length)
+    pre, suf = _ends(rule, level, length)[level][label]
     return (word_string(rule, pre), word_string(rule, suf))
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .core import FusionRule, resolve_level
+from .core import FusionRule, _weighted_sums, resolve_level
 from .errors import InvalidRangeError
 
 
@@ -64,61 +63,44 @@ def compose(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
     return TransitionMatrix(a.from_level, b.to_level, a.row_labels, b.col_labels, entries)
 
 
-@lru_cache(maxsize=None)
 def step_matrix(rule: FusionRule, k: int) -> TransitionMatrix:
     """One-level matrix from level k-1 to level k (k >= 1)."""
     if k < 1:
         raise InvalidRangeError(k - 1, k)
     rows = resolve_level(rule, k - 1).labels
     res = resolve_level(rule, k)
-    counts = []
-    for label in rows:
-        counts.append(
-            tuple(
-                sum(p.repeat for p in s.body if p.child == label)
-                for s in res.supertiles
-            )
-        )
-    return TransitionMatrix(k - 1, k, rows, res.labels, tuple(counts))
+    counts = tuple(
+        tuple(sum(p.repeat for p in s.body if p.child == label) for s in res.supertiles)
+        for label in rows
+    )
+    return TransitionMatrix(k - 1, k, rows, res.labels, counts)
 
 
-@lru_cache(maxsize=None)
 def transition_matrix(rule: FusionRule, n: int, N: int) -> TransitionMatrix:
     """Counts of level-n supertiles inside level-N supertiles (n <= N).
 
     N == n yields the identity. Built as the left-to-right product of step
-    matrices; all intermediate horizons are cached, so walking a horizon
-    upward costs one step multiplication each.
+    matrices, one multiplication per level; only the level resolutions are
+    kept, not the products.
     """
     if N < n or n < 0:
         raise InvalidRangeError(n, N)
-    if N == n:
-        labels = resolve_level(rule, n).labels
-        entries = tuple(
-            tuple(1 if i == j else 0 for j in range(len(labels)))
-            for i in range(len(labels))
-        )
-        return TransitionMatrix(n, n, labels, labels, entries)
-    return compose(transition_matrix(rule, n, N - 1), step_matrix(rule, N))
+    labels = resolve_level(rule, n).labels
+    entries = tuple(
+        tuple(1 if i == j else 0 for j in range(len(labels)))
+        for i in range(len(labels))
+    )
+    m = TransitionMatrix(n, n, labels, labels, entries)
+    for k in range(n + 1, N + 1):
+        m = compose(m, step_matrix(rule, k))
+    return m
 
 
-@lru_cache(maxsize=None)
 def volumes(rule: FusionRule, n: int) -> VolumeVector:
     """Exact volumes of the level-n supertiles.
 
     Level 0 reads the prototile declarations; level n sums repeat x child
     volume over each body.
     """
-    if n == 0:
-        return VolumeVector(
-            0,
-            rule.prototile_names(),
-            tuple(p.volume for p in rule.prototiles),
-        )
-    prev = volumes(rule, n - 1)
-    res = resolve_level(rule, n)
-    values = tuple(
-        sum((p.repeat * prev.value(p.child) for p in s.body), Fraction(0))
-        for s in res.supertiles
-    )
-    return VolumeVector(n, res.labels, values)
+    sums = _weighted_sums(rule, n, "volume", lambda p: p.volume)
+    return VolumeVector(n, tuple(sums), tuple(sums.values()))

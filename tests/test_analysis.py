@@ -13,7 +13,7 @@ from fusionlab.analysis import (
     van_hove_diagnostic,
     word_count,
 )
-from fusionlab.builtins import load_builtin
+from fusionlab.builtins import builtin_text, load_builtin
 from fusionlab.core import resolve_level
 from fusionlab.dsl import parse_rule
 from fusionlab.errors import ExpansionTooLargeError, InvalidRangeError
@@ -272,6 +272,12 @@ class TestWordCount:
                 for col in m.col_labels:
                     for row in m.row_labels:
                         assert word_count(rule, (row,), n, col) == m.entry(row, col)
+
+    def test_cold_deep_level(self):
+        fib = parse_rule(builtin_text("fibonacci"))
+        assert word_count(fib, "ABAAB", 2000, "A") > 0
+        fresh = parse_rule(builtin_text("fibonacci"))
+        assert word_count(fresh, "B", 2000, "A") == transition_matrix(fresh, 0, 2000).entry("B", "A")
 
     def test_huge_supertiles_without_expansion(self):
         # junction bookkeeping handles 10^k-fold repeats symbolically

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 from make_goldens import GOLDEN
 
+from fusionlab import cli
 from fusionlab.builtins import load_builtin
 from fusionlab.dsl import format_rule
 from fusionlab.transition import transition_matrix
@@ -142,6 +143,30 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads(out)
         assert payload["schema"] == "fusionlab/1" and payload["result"] is None
+
+    def test_deep_horizon_one_envelope(self, run_cli):
+        load_builtin.cache_clear()  # start from a rule with an empty level table
+        argv = ["matrix", "fibonacci", "--from", "0", "--to", "10000", "--json"]
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["command"] == argv and len(payload["result"]["entries"][0][0]) == 2090
+
+    @pytest.mark.parametrize("fault", [RecursionError("deep"), ZeroDivisionError("zero"), MemoryError()])
+    def test_internal_error_envelope(self, run_cli, monkeypatch, fault):
+        def broken(args):
+            raise fault
+
+        monkeypatch.setattr(cli, "_cmd_matrix", broken)
+        argv = ["matrix", "fibonacci", "--from", "0", "--to", "3"]
+        code, out, err = run_cli(argv + ["--json"])
+        payload = json.loads(out)
+        assert code == 1 and err == "" and payload["result"] is None
+        assert [d["code"] for d in payload["diagnostics"]] == ["internal-error"]
+        assert type(fault).__name__ in payload["diagnostics"][0]["message"]
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "" and err.startswith("internal error: ")
+        assert len(err.splitlines()) == 1
 
     def test_help_exits_zero(self, run_cli):
         for argv in (["--help"], ["expand", "--help"]):

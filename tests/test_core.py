@@ -1,8 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from fusionlab.builtins import load_builtin
+from fusionlab.builtins import builtin_text, load_builtin
 from fusionlab.core import (
     Always,
     And,
@@ -24,7 +26,9 @@ from fusionlab.core import (
     resolve_level,
     validate_rule,
 )
+from fusionlab.dsl import parse_rule
 from fusionlab.errors import NegativeExponentError, UnknownDimensionError
+from fusionlab.transition import transition_matrix
 
 
 def expr_pow(base, exp):
@@ -144,6 +148,26 @@ class TestResolveLevel:
                     assert {p.child for p in s.body} <= prev
 
 
+class TestLevelTable:
+    def test_rule_is_freed_after_use(self):
+        rule = parse_rule(builtin_text("fibonacci"))
+        transition_matrix(rule, 0, 50)
+        ref = weakref.ref(rule)
+        del rule
+        gc.collect()
+        assert ref() is None
+
+    def test_table_is_not_part_of_equality(self):
+        warm = parse_rule(builtin_text("fiblike"))
+        resolve_level(warm, 20)
+        cold = parse_rule(builtin_text("fiblike"))
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            level_sizes(load_builtin("fibonacci"), -1)
+
+
 class TestLevelSizes:
     def test_1d_lengths(self):
         rule = load_builtin("fibonacci")
@@ -226,6 +250,28 @@ class TestValidateRule:
             (SupertileDef("A", (Placement("A", offset=(Lit(0), Lit(0))),)),),
         )
         assert "bad-shape" in [d.code for d in validate_rule(rule, 1)]
+
+    def test_unanchored_prototile(self):
+        rule = FusionRule(
+            "r", 2,
+            (Prototile("A", volume=Fraction(2), cells=((1, 1), (1, 2))),),
+            (SupertileDef("A", (Placement("A", offset=(Lit(0), Lit(0))),)),),
+        )
+        assert [d.code for d in validate_rule(rule, 1)] == ["bad-shape"]
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_ispow_base_below_two(self, base):
+        # base 1 would loop forever in eval_guard, base 0 divide by zero
+        rule = FusionRule(
+            "r", 1,
+            (Prototile("A"),),
+            (
+                SupertileDef("A", (Placement("A"),), Not(IsPow(base, Var()))),
+                SupertileDef("A", (Placement("A"),)),
+            ),
+        )
+        diags = validate_rule(rule, 4)
+        assert [d.code for d in diags] == ["bad-ispow"] and diags[0].label == "A"
 
     def test_offset_in_1d_rejected(self):
         rule = FusionRule(

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from fusionlab.builtins import builtin_names, load_builtin
+from fusionlab.builtins import builtin_names, builtin_text, load_builtin
+from fusionlab.dsl import parse_rule
 from fusionlab.errors import InvalidRangeError
 from fusionlab.expand import cell_count, expand_supertile, tile_census
 from fusionlab.transition import compose, step_matrix, transition_matrix, volumes
@@ -70,6 +71,14 @@ class TestTransitionMatrix:
     def test_thue_morse_three_steps(self):
         m = transition_matrix(load_builtin("thue_morse"), 0, 3)
         assert m.entries == ((4, 4), (4, 4))
+
+    def test_cold_deep_horizon(self):
+        # a fresh rule fills its level table in a loop, not one frame per level
+        m = transition_matrix(parse_rule(builtin_text("fibonacci")), 0, 10000)
+        fib = [0, 1]
+        while len(fib) < 10002:
+            fib.append(fib[-1] + fib[-2])
+        assert m.entries == ((fib[10001], fib[10000]), (fib[10000], fib[9999]))
 
     @pytest.mark.parametrize("name", ALL)
     def test_composition_identity_small(self, name):
