@@ -13,6 +13,7 @@ evidence (never proof, at finite depth) of a unique frequency measure.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -23,12 +24,10 @@ from .expand import (
     DEFAULT_BUDGET,
     CellPatch,
     ExpansionBudget,
-    _ends,
+    _word_rows,
     cell_count,
     expand_supertile,
     occurrences_2d,
-    parse_word,
-    tile_count,
 )
 from .transition import TransitionMatrix, compose, step_matrix, transition_matrix, volumes
 
@@ -224,6 +223,7 @@ class ErgodicityReport:
     horizons: tuple[int, ...]
     diameters: tuple[Fraction, ...]
     verdict: str  # "unique" | "multiple" | "undecided"
+    hull: FrequencyHull  # the hull at the last horizon, depth
     # when "multiple": two sequences of (vertex label, vertex) over horizons,
     # following the pair of vertices realizing each diameter
     trajectories: Optional[
@@ -271,7 +271,7 @@ def ergodicity_report(
         verdict = "undecided"
         trajectories = None
     tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))
-    return ErgodicityReport(n, depth, tol_frac, horizons, diameters, verdict, trajectories)
+    return ErgodicityReport(n, depth, tol_frac, horizons, diameters, verdict, hulls[-1][0], trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -279,79 +279,24 @@ def ergodicity_report(
 # ---------------------------------------------------------------------------
 
 
-def _cross_count(left: tuple[str, ...], right: tuple[str, ...], word: tuple[str, ...]) -> int:
-    """Occurrences of word inside left+right that straddle the boundary."""
-    window = left + right
-    m = len(word)
-    cut = len(left)
-    count = 0
-    for i in range(len(window) - m + 1):
-        if i < cut and i + m > cut and window[i : i + m] == word:
-            count += 1
-    return count
-
-
 def word_count(
     rule: FusionRule,
     word: Union[str, tuple[str, ...]],
     level: int,
     label: str,
-    budget: Optional[ExpansionBudget] = None,
 ) -> int:
     """Exact occurrences of the word in the supertile's expansion.
 
-    Counted bottom-up over the levels: occurrences inside children plus
-    occurrences straddling junctions, read off the children's prefixes and
-    suffixes of length |word|-1. A run of k identical children has k-1
-    identical junctions, so its cost is constant: supertiles with 10^n
-    children stay cheap. Levels whose children are shorter than the word
-    are counted by brute scan of the (necessarily small-factor) expansion,
-    within budget.
+    Counted bottom-up over the levels, never by expanding: occurrences
+    inside children plus occurrences across seams, read off the children's
+    prefixes and suffixes of length |word|-1 (see expand._word_rows). There
+    is no budget: supertiles with 10^n children or at level 2000 stay cheap.
     """
     if rule.dimension != 1:
         raise ValueError("word_count is for 1D rules")
-    budget = budget or DEFAULT_BUDGET
-    labels = parse_word(rule, word) if isinstance(word, str) else tuple(word)
-    m = len(labels)
-    if m == 0:
-        raise ValueError("empty word")
-
-    # Visit the supertiles reachable from (level, label) depth-first, in the
-    # order a recursive count visits them, so a brute scan over budget fails
-    # at the same supertile; then sum the rest bottom-up, level by level.
-    counts: dict[tuple[int, str], int] = {}
-    summed = []
-    stack = [(level, label)]
-    while stack:
-        key = stack.pop()
-        if key in counts:
-            continue
-        lv, lab = key
-        if tile_count(rule, lv, lab) < m:
-            counts[key] = 0
-        elif lv == 0:
-            counts[key] = 1 if labels == (lab,) else 0
-        else:
-            s = resolve_level(rule, lv).supertile(lab)
-            counts[key] = 0
-            if any(tile_count(rule, lv - 1, p.child) < m for p in s.body):
-                # a word can straddle more than one junction here; scan outright
-                seq = expand_supertile(rule, lv, lab, budget).labels
-                counts[key] = sum(1 for i in range(len(seq) - m + 1) if seq[i : i + m] == labels)
-            else:
-                summed.append((lv, s))
-                stack.extend((lv - 1, p.child) for p in reversed(s.body))
-    ends = _ends(rule, level - 1, m - 1) if summed and m > 1 else None
-    for lv, s in sorted(summed, key=lambda item: item[0]):
-        out = sum(p.repeat * counts[(lv - 1, p.child)] for p in s.body)
-        if ends is not None:
-            # junctions: inside runs of one child, then between adjacent runs
-            joins = [(p.child, p.child, p.repeat - 1) for p in s.body]
-            joins += [(a.child, b.child, 1) for a, b in zip(s.body, s.body[1:])]
-            row = ends[lv - 1]
-            out += sum(k * _cross_count(row[x][1], row[y][0], labels) for x, y, k in joins if k)
-        counts[(lv, s.label)] = out
-    return counts[(level, label)]
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    return deque(_word_rows(rule, word, level), maxlen=1)[0][label][0]
 
 
 def patch_count_2d(
@@ -396,16 +341,16 @@ def patch_frequency_estimate(
     """Range of the per-volume patch frequency over the hull at (n, N).
 
     lo/hi are the min/max over hull vertices rho of
-    sum_i count(patch, P_n(i)) * rho_i; exact rationals.
+    sum_i count(patch, P_n(i)) * rho_i; exact rationals. A word is counted
+    without expanding; budget caps the expansions that count a 2D patch.
     """
-    budget = budget or DEFAULT_BUDGET
     labels_n = resolve_level(rule, n).labels
     if isinstance(patch, CellPatch) and patch.dimension == 2:
         counts = [patch_count_2d(rule, patch, n, lab, budget) for lab in labels_n]
         description = f"patch[{patch.cell_count()} cells]"
     else:
         word = patch if isinstance(patch, (str, tuple)) else tuple(patch.labels)
-        counts = [word_count(rule, word, n, lab, budget) for lab in labels_n]
+        counts = [word_count(rule, word, n, lab) for lab in labels_n]
         description = word if isinstance(word, str) else "".join(word)
     hull = frequency_hull(rule, n, N)
     values = [
@@ -419,16 +364,14 @@ def patch_universality(
     rule: FusionRule,
     word: Union[str, tuple[str, ...]],
     max_level: int,
-    budget: Optional[ExpansionBudget] = None,
 ) -> Optional[int]:
-    """Smallest level at which every supertile contains the word, if any."""
+    """Smallest level at which every supertile contains the word, if any.
+
+    One bottom-up pass of word counts (see word_count); nothing is expanded.
+    """
     if rule.dimension != 1:
         raise ValueError("patch_universality is for 1D rules")
-    budget = budget or DEFAULT_BUDGET
-    for N in range(0, max_level + 1):
-        if all(
-            word_count(rule, word, N, lab, budget) > 0
-            for lab in resolve_level(rule, N).labels
-        ):
+    for N, row in enumerate(_word_rows(rule, word, max_level)):
+        if all(count for count, _ in row.values()):
             return N
     return None

@@ -54,10 +54,6 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _int_str(x: int) -> str:
-    return str(x)
-
-
 def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -77,8 +73,8 @@ def _error_diagnostics(exc: Exception) -> list[dict]:
             {
                 "severity": d.severity,
                 "message": d.message,
-                "line": _int_str(d.span.line),
-                "column": _int_str(d.span.column),
+                "line": str(d.span.line),
+                "column": str(d.span.column),
             }
             for d in exc.diagnostics
         ]
@@ -87,7 +83,7 @@ def _error_diagnostics(exc: Exception) -> list[dict]:
         for d in exc.diagnostics:
             entry = {"severity": "error", "code": d.code, "message": d.message}
             if d.level is not None:
-                entry["level"] = _int_str(d.level)
+                entry["level"] = str(d.level)
             if d.label is not None:
                 entry["label"] = d.label
             out.append(entry)
@@ -125,14 +121,14 @@ def _cmd_parse(args):
     for p in rule.prototiles:
         entry = {"name": p.name, "volume": _frac_str(p.volume)}
         if p.cells is not None:
-            entry["cells"] = [[_int_str(x), _int_str(y)] for x, y in p.cells]
+            entry["cells"] = [[str(x), str(y)] for x, y in p.cells]
         protos.append(entry)
     canonical = dsl.format_rule(rule)
     result = {
         "name": rule.name,
-        "dimension": _int_str(rule.dimension),
+        "dimension": str(rule.dimension),
         "prototiles": protos,
-        "definition_count": _int_str(len(rule.definitions)),
+        "definition_count": str(len(rule.definitions)),
         "canonical": canonical,
     }
     return result, canonical.rstrip("\n")
@@ -151,9 +147,9 @@ def _cmd_expand(args):
         entries.append(
             {
                 "label": lab,
-                "level": _int_str(level),
-                "tiles": _int_str(len(patch.labels) if patch.dimension == 1 else len(patch.tiles)),
-                "cells": _int_str(patch.cell_count()),
+                "level": str(level),
+                "tiles": str(len(patch.labels) if patch.dimension == 1 else len(patch.tiles)),
+                "cells": str(patch.cell_count()),
                 "text": text,
             }
         )
@@ -163,23 +159,23 @@ def _cmd_expand(args):
             texts.append(f"{lab}: {text}")
         else:
             texts.append(f"{lab}:\n{text}")
-    return {"level": _int_str(level), "supertiles": entries}, "\n".join(texts)
+    return {"level": str(level), "supertiles": entries}, "\n".join(texts)
 
 
 def _cmd_matrix(args):
     rule = _load_rule(args)
     m = transition.transition_matrix(rule, args.from_level, args.to_level)
     result = {
-        "from_level": _int_str(m.from_level),
-        "to_level": _int_str(m.to_level),
+        "from_level": str(m.from_level),
+        "to_level": str(m.to_level),
         "row_labels": list(m.row_labels),
         "col_labels": list(m.col_labels),
-        "entries": [[_int_str(e) for e in row] for row in m.entries],
+        "entries": [[str(e) for e in row] for row in m.entries],
     }
-    width = max(len(_int_str(e)) for row in m.entries for e in row)
+    width = max(len(str(e)) for row in m.entries for e in row)
     lines = [f"M[{m.from_level} -> {m.to_level}]  columns: {' '.join(m.col_labels)}"]
     for lab, row in zip(m.row_labels, m.entries):
-        lines.append(f"  {lab}: " + " ".join(_int_str(e).rjust(width) for e in row))
+        lines.append(f"  {lab}: " + " ".join(str(e).rjust(width) for e in row))
     return result, "\n".join(lines)
 
 
@@ -187,15 +183,15 @@ def _cmd_primitivity(args):
     rule = _load_rule(args)
     res = analysis.primitivity_check(rule, args.level, args.max_offset)
     result = {
-        "level": _int_str(res.level),
-        "max_offset": _int_str(res.max_offset),
-        "minimal_offset": None if res.minimal_offset is None else _int_str(res.minimal_offset),
+        "level": str(res.level),
+        "max_offset": str(res.max_offset),
+        "minimal_offset": None if res.minimal_offset is None else str(res.minimal_offset),
         "witness_zero": None
         if res.witness_zero is None
         else {
             "row": res.witness_zero[0],
             "col": res.witness_zero[1],
-            "horizon": _int_str(res.witness_zero[2]),
+            "horizon": str(res.witness_zero[2]),
         },
     }
     if res.minimal_offset is not None:
@@ -216,9 +212,9 @@ def _cmd_vanhove(args):
     rule = _load_rule(args)
     rep = analysis.van_hove_diagnostic(rule, args.depth, args.radius, _budget(args))
     result = {
-        "depth": _int_str(rep.depth),
-        "r": _int_str(rep.r),
-        "levels": [_int_str(x) for x in rep.levels],
+        "depth": str(rep.depth),
+        "r": str(rep.r),
+        "levels": [str(x) for x in rep.levels],
         "ratios": [_frac_str(x) for x in rep.ratios],
         "ratios_approx": [float(x) for x in rep.ratios],
         "max_labels": list(rep.max_labels),
@@ -240,12 +236,12 @@ def _trajectory_payload(traj) -> list:
 
 def _cmd_freq(args):
     rule = _load_rule(args)
-    hull = analysis.frequency_hull(rule, args.level, args.horizon)
     tol = Fraction(args.tol) if args.tol else Fraction(1, 10**6)
     rep = analysis.ergodicity_report(rule, args.level, args.horizon, tol)
+    hull = rep.hull
     result = {
-        "level": _int_str(hull.level),
-        "horizon": _int_str(hull.horizon),
+        "level": str(hull.level),
+        "horizon": str(hull.horizon),
         "labels": list(hull.labels),
         "vertex_labels": list(hull.vertex_labels),
         "vertices": [[_frac_str(x) for x in v] for v in hull.vertices],
@@ -254,7 +250,7 @@ def _cmd_freq(args):
         "centroid": [_frac_str(x) for x in hull.centroid],
         "centroid_approx": [float(x) for x in hull.centroid],
         "ergodicity": {
-            "horizons": [_int_str(N) for N in rep.horizons],
+            "horizons": [str(N) for N in rep.horizons],
             "diameters": [_frac_str(d) for d in rep.diameters],
             "diameters_approx": [float(d) for d in rep.diameters],
             "tol": _frac_str(rep.tol),
@@ -272,7 +268,7 @@ def _cmd_freq(args):
         f"{len(hull.vertices)} vertices, diameter {float(hull.diameter):.6g}"
     ]
     for lab, v in zip(hull.vertex_labels, hull.vertices):
-        coords = ", ".join(f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator) for x in v)
+        coords = ", ".join(_frac_str(x) for x in v)
         lines.append(f"  via {lab}: ({coords})")
     lines.append(f"ergodicity verdict: {rep.verdict}")
     return result, "\n".join(lines)
@@ -297,8 +293,8 @@ def _cmd_patchfreq(args):
     iv = analysis.patch_frequency_estimate(rule, patch, args.level, args.horizon, _budget(args))
     result = {
         "description": description,
-        "level": _int_str(iv.level),
-        "horizon": _int_str(iv.horizon),
+        "level": str(iv.level),
+        "horizon": str(iv.horizon),
         "lo": _frac_str(iv.lo),
         "hi": _frac_str(iv.hi),
         "lo_approx": float(iv.lo),
@@ -327,11 +323,11 @@ def _cmd_admissible(args):
     res = expand.is_admissible(rule, needle, args.max_level, _budget(args))
     result = {
         "description": description,
-        "max_level": _int_str(args.max_level),
+        "max_level": str(args.max_level),
         "found": res.found,
-        "level": None if res.level is None else _int_str(res.level),
+        "level": None if res.level is None else str(res.level),
         "label": res.label,
-        "position": None if res.position is None else [_int_str(x) for x in res.position],
+        "position": None if res.position is None else [str(x) for x in res.position],
     }
     if res.found:
         pos = ", ".join(str(x) for x in res.position)
@@ -358,7 +354,7 @@ def _cmd_render(args):
             f.write(content)
     result = {
         "format": fmt,
-        "level": _int_str(args.level),
+        "level": str(args.level),
         "label": args.supertile,
         "path": path,
         "content": None if path else content,
@@ -384,10 +380,18 @@ def _cmd_examples(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_rule_arguments(sp):
+_CELLS_HELP = "cap on the cells of one supertile expansion (default 10^7)"
+_PATCH_CELLS_HELP = _CELLS_HELP + "; applies to --patch only, a --word is never expanded"
+
+
+def _add_rule_arguments(sp, cells_help: Optional[str] = None):
+    """The rule and --json arguments, plus --max-cells for subcommands that
+    expand supertiles."""
     sp.add_argument("rule", nargs="?", help="rule file path or bundled rule name")
     sp.add_argument("--rule", dest="rule_flag", help="alternative to the positional rule")
     sp.add_argument("--json", action="store_true", help="emit the JSON envelope")
+    if cells_help:
+        sp.add_argument("--max-cells", type=int, dest="max_cells", help=cells_help)
 
 
 def build_parser() -> _ArgumentParser:
@@ -399,10 +403,9 @@ def build_parser() -> _ArgumentParser:
     sp.set_defaults(handler=_cmd_parse)
 
     sp = sub.add_parser("expand", help="expand supertiles at a level")
-    _add_rule_arguments(sp)
+    _add_rule_arguments(sp, _CELLS_HELP)
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--supertile", help="one supertile label (default: all at the level)")
-    sp.add_argument("--max-cells", type=int, dest="max_cells")
     sp.set_defaults(handler=_cmd_expand)
 
     sp = sub.add_parser("matrix", help="exact transition matrix between two levels")
@@ -418,10 +421,9 @@ def build_parser() -> _ArgumentParser:
     sp.set_defaults(handler=_cmd_primitivity)
 
     sp = sub.add_parser("vanhove", help="boundary-to-volume ratios per level")
-    _add_rule_arguments(sp)
+    _add_rule_arguments(sp, _CELLS_HELP)
     sp.add_argument("--depth", type=int, default=6)
     sp.add_argument("--radius", type=int, default=1)
-    sp.add_argument("--max-cells", type=int, dest="max_cells")
     sp.set_defaults(handler=_cmd_vanhove)
 
     sp = sub.add_parser("freq", help="frequency hull and ergodicity verdict")
@@ -432,31 +434,28 @@ def build_parser() -> _ArgumentParser:
     sp.set_defaults(handler=_cmd_freq)
 
     sp = sub.add_parser("patchfreq", help="frequency interval of a word or patch")
-    _add_rule_arguments(sp)
+    _add_rule_arguments(sp, _PATCH_CELLS_HELP)
     sp.add_argument("--word", help="1D word over the rule's characters")
     sp.add_argument("--patch", help="2D: supertile label to use as the patch")
     sp.add_argument("--patch-level", dest="patch_level", type=int, help="level of --patch (default 0)")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--max-cells", type=int, dest="max_cells")
     sp.set_defaults(handler=_cmd_patchfreq)
 
     sp = sub.add_parser("admissible", help="search supertiles for a word or patch")
-    _add_rule_arguments(sp)
+    _add_rule_arguments(sp, _PATCH_CELLS_HELP)
     sp.add_argument("--word")
     sp.add_argument("--patch", help="2D: supertile label to use as the patch")
     sp.add_argument("--patch-level", dest="patch_level", type=int)
     sp.add_argument("--max-level", dest="max_level", type=int, default=8)
-    sp.add_argument("--max-cells", type=int, dest="max_cells")
     sp.set_defaults(handler=_cmd_admissible)
 
     sp = sub.add_parser("render", help="render one supertile as text or SVG")
-    _add_rule_arguments(sp)
+    _add_rule_arguments(sp, _CELLS_HELP)
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--supertile", required=True)
     sp.add_argument("--out", help="svg | txt (stdout) or an output file path")
     sp.add_argument("--cell-size", dest="cell_size", type=int, default=16)
-    sp.add_argument("--max-cells", type=int, dest="max_cells")
     sp.set_defaults(handler=_cmd_render)
 
     sp = sub.add_parser("examples", help="list bundled rules")

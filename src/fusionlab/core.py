@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from .errors import (
     EmptyLevelError,
@@ -169,6 +169,9 @@ def eval_guard(guard: Guard, n: int) -> bool:
     if isinstance(guard, IsPow):
         v = eval_expr(guard.exponent, n)
         b = guard.base
+        if b < 2:
+            # base 1 would loop forever below and base 0 divide by zero
+            raise ValueError(f"ispow base must be >= 2, got {b}")
         if v < b:
             return False
         while v % b == 0:
@@ -430,19 +433,22 @@ class Diagnostic:
         return f"{self.code}: {self.message}{where}"
 
 
-def _connected(cells: set[tuple[int, int]]) -> bool:
-    if not cells:
-        return True
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        c = stack.pop()
-        if c in seen or c not in cells:
-            continue
-        seen.add(c)
-        x, y = c
-        stack.extend(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
-    return len(seen) == len(cells)
+def _component_sizes(cells: Iterable[tuple[int, int]]) -> list[int]:
+    """Sizes of the edge-connected components of a set of cells."""
+    rest = set(cells)
+    sizes = []
+    while rest:
+        stack = [rest.pop()]
+        size = 0
+        while stack:
+            x, y = stack.pop()
+            size += 1
+            for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if c in rest:
+                    rest.remove(c)
+                    stack.append(c)
+        sizes.append(size)
+    return sizes
 
 
 def _ispow_bases(guard: Guard) -> list[int]:
@@ -484,7 +490,7 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
                 continue
             if len(set(cells)) != len(cells):
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} repeats a cell"))
-            elif not _connected(set(cells)):
+            elif len(_component_sizes(cells)) > 1:
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} is not edge-connected"))
             if min(x for x, _ in cells) != 0 or min(y for _, y in cells) != 0:
                 out.append(Diagnostic("bad-shape", f"cells of prototile {p.name!r} are not anchored at min x = min y = 0"))
@@ -494,7 +500,7 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
             out.append(Diagnostic("empty-body", f"definition of {d.label!r} has no placements", label=d.label))
         for base in _ispow_bases(d.guard):
             if base < 2:
-                # eval_guard would loop forever on base 1 and divide by zero on 0
+                # eval_guard raises on such a base; report it with the rest
                 out.append(Diagnostic("bad-ispow", f"ispow base must be >= 2, got {base}", label=d.label))
         for p in d.body:
             if rule.dimension == 1 and p.offset is not None:

@@ -8,16 +8,17 @@ astronomically large supertile fails fast instead of exhausting memory.
 A 2D patch is stored two ways at once: as placed tiles (anchor position +
 label, the faithful notion for counting occurrences) and as the derived
 cell->label map (useful for rendering and boundary geometry). 1D patches
-are plain label sequences.
+are plain label sequences; words are counted and searched for without
+expanding anything (see _word_rows).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .core import FusionRule, _level_rows, _weighted_sums, resolve_level
+from .core import FusionRule, _component_sizes, _level_rows, _weighted_sums, resolve_level
 from .errors import (
     DisconnectedError,
     ExpansionTooLargeError,
@@ -79,7 +80,7 @@ class CellPatch:
         minx = min(x for x, _ in cells)
         miny = min(y for _, y in cells)
         norm = tuple(sorted(((x - minx, y - miny), lab) for (x, y), lab in cells.items()))
-        _check_connected({c for c, _ in norm})
+        _check_connected(c for c, _ in norm)
         return CellPatch(2, cells=norm, tiles=norm)
 
     @staticmethod
@@ -93,7 +94,7 @@ class CellPatch:
         miny = min(y for (_, y), _ in tiles)
         tiles = tuple(((x - minx, y - miny), lab) for (x, y), lab in tiles)
         cells = _paint_cells(rule, tiles)
-        _check_connected({c for c, _ in cells})
+        _check_connected(c for c, _ in cells)
         return CellPatch(2, cells=cells, tiles=tiles)
 
     def cell_count(self) -> int:
@@ -133,32 +134,9 @@ def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
     return tuple(sorted(out))
 
 
-def _check_connected(cells: set[Cell]) -> None:
-    first = next(iter(cells))
-    seen = set()
-    stack = [first]
-    while stack:
-        c = stack.pop()
-        if c in seen or c not in cells:
-            continue
-        seen.add(c)
-        x, y = c
-        stack.extend(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
-    if len(seen) != len(cells):
-        sizes = [len(seen)]
-        rest = cells - seen
-        while rest:
-            comp = set()
-            stack = [next(iter(rest))]
-            while stack:
-                c = stack.pop()
-                if c in comp or c not in rest:
-                    continue
-                comp.add(c)
-                x, y = c
-                stack.extend(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
-            sizes.append(len(comp))
-            rest -= comp
+def _check_connected(cells: Iterable[Cell]) -> None:
+    sizes = _component_sizes(cells)
+    if len(sizes) > 1:
         raise DisconnectedError(tuple(sorted(sizes, reverse=True)))
 
 
@@ -290,7 +268,7 @@ def parse_word(rule: FusionRule, text: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Prefix / suffix without full expansion
+# Prefixes, suffixes and word counts without expansion
 # ---------------------------------------------------------------------------
 
 
@@ -322,6 +300,69 @@ def _ends(rule: FusionRule, level: int, length: int) -> list[dict[str, tuple[tup
         }
 
     return _level_rows(rule, ("ends", length), level, row)
+
+
+def _cross_count(left: tuple[str, ...], right: tuple[str, ...], word: tuple[str, ...]) -> tuple[int, Optional[int]]:
+    """Occurrences of word inside left+right that straddle the boundary, and
+    the start of the first one (None if there is none)."""
+    window = left + right
+    m = len(word)
+    cut = len(left)
+    starts = [i for i in range(max(0, cut - m + 1), min(cut, len(window) - m + 1)) if window[i : i + m] == word]
+    return len(starts), (starts[0] if starts else None)
+
+
+def _word_rows(rule: FusionRule, word: Union[str, tuple[str, ...]], top: int):
+    """Yield, per level 0..top, each supertile's (occurrences of the word,
+    start of the first occurrence or None); nothing is expanded.
+
+    A level is a left fold over each body that reads the children's rows and
+    their first and last |word|-1 labels. At each seam it adds the windows
+    that start left of the seam and end in the new piece, using the running
+    suffix, so a window across several short children is counted once, at
+    the seam where its last piece begins. Within a run of copies the suffix
+    stops changing after at most |word| copies, and from then on each copy
+    adds the same count: 10^300 copies cost one multiplication. tile_count
+    places the first occurrence, once per supertile. The fold builds the
+    supertile's own ends as it goes, so nothing is kept on the rule and a
+    call holds two levels at a time.
+    """
+    labels = parse_word(rule, word) if isinstance(word, str) else tuple(word)
+    if not labels:
+        raise ValueError("empty word")
+    keep = len(labels) - 1
+    row = {lab: (1, 0) if labels == (lab,) else (0, None) for lab in rule.prototile_names()}
+    ends = {lab: ((lab,)[:keep], (lab,)[:keep]) for lab in row}
+    if top >= 0:
+        yield row
+    for k in range(1, top + 1):
+        prev, prev_ends, row, ends = row, ends, {}, {}
+        for s in resolve_level(rule, k).supertiles:
+            count, first, head, tail = 0, None, (), ()
+            for j, p in enumerate(s.body):
+                inside, at = prev[p.child]
+                child_head, child_tail = prev_ends[p.child]
+                for copy in range(p.repeat):
+                    crossing, cross_at = _cross_count(tail, child_head, labels)
+                    if first is None and (crossing or inside):
+                        # where this copy starts; summed only here, as the
+                        # sizes can be huge and are needed just this once
+                        start = copy * tile_count(rule, k - 1, p.child)
+                        start += sum(q.repeat * tile_count(rule, k - 1, q.child) for q in s.body[:j])
+                        first = start + (cross_at - len(tail) if crossing else at)
+                    count += crossing + inside
+                    head = (head + child_head)[:keep]
+                    joined = tail + child_tail
+                    joined = joined[max(0, len(joined) - keep) :]
+                    if joined == tail:
+                        # the next copies see this same suffix, and the
+                        # head is full by now
+                        count += (p.repeat - copy - 1) * (crossing + inside)
+                        break
+                    tail = joined
+            row[s.label] = (count, first)
+            ends[s.label] = (head, tail)
+        yield row
 
 
 def prefix_suffix(rule: FusionRule, level: int, label: str, length: int) -> tuple[str, str]:
@@ -390,30 +431,32 @@ def is_admissible(
     max_level: int,
     budget: Optional[ExpansionBudget] = None,
 ) -> AdmissibilityResult:
-    """Search supertile expansions, level by level, for the patch.
+    """Search the supertiles, level by level and in label order, for the patch.
 
-    A miss only means "not found up to max_level"; it is not a proof of
+    A 1D word is found from the word counts of one bottom-up pass, never by
+    expanding, and its position is the first occurrence (as str.find). A 2D
+    patch is matched against each supertile's expansion, within budget. A
+    miss only means "not found up to max_level"; it is not a proof of
     inadmissibility.
     """
-    budget = budget or DEFAULT_BUDGET
     if isinstance(patch, str):
         if rule.dimension != 1:
             raise ValueError("word admissibility is for 1D rules")
         patch = CellPatch.from_word(parse_word(rule, patch))
     if patch.dimension != rule.dimension:
         raise ValueError("patch dimension does not match the rule")
-    needle = word_string(rule, patch.labels) if patch.dimension == 1 else None
+    if patch.dimension == 1:
+        for level, row in enumerate(_word_rows(rule, word_string(rule, patch.labels), max_level)):
+            for label, (count, first) in row.items():
+                if count:
+                    return AdmissibilityResult(True, level, label, (first,), level + 1)
+        return AdmissibilityResult(False, searched_levels=max_level + 1)
+    budget = budget or DEFAULT_BUDGET
     for level in range(0, max_level + 1):
         for label in resolve_level(rule, level).labels:
-            expansion = expand_supertile(rule, level, label, budget)
-            if patch.dimension == 1:
-                pos = word_string(rule, expansion.labels).find(needle)
-                if pos >= 0:
-                    return AdmissibilityResult(True, level, label, (pos,), level + 1)
-            else:
-                hits = occurrences_2d(patch, expansion)
-                if hits:
-                    return AdmissibilityResult(True, level, label, hits[0], level + 1)
+            hits = occurrences_2d(patch, expand_supertile(rule, level, label, budget))
+            if hits:
+                return AdmissibilityResult(True, level, label, hits[0], level + 1)
     return AdmissibilityResult(False, searched_levels=max_level + 1)
 
 

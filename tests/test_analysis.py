@@ -16,12 +16,12 @@ from fusionlab.analysis import (
 from fusionlab.builtins import builtin_text, load_builtin
 from fusionlab.core import resolve_level
 from fusionlab.dsl import parse_rule
-from fusionlab.errors import ExpansionTooLargeError, InvalidRangeError
+from fusionlab.errors import InvalidRangeError
 from fusionlab.expand import (
     CellPatch,
-    ExpansionBudget,
     cell_count,
     expand_supertile,
+    is_admissible,
     label_chars,
     word_string,
 )
@@ -224,6 +224,11 @@ class TestErgodicity:
         assert rep.trajectories is None
         assert rep.diameters[-1] < Fraction(1, 10**6)
 
+    def test_final_hull_is_the_frequency_hull(self):
+        for name in ("fibonacci", "ten_pow_n", "fiblike"):
+            rule = load_builtin(name)
+            assert ergodicity_report(rule, 1, 9).hull == frequency_hull(rule, 1, 9)
+
     def test_thue_morse_unique_immediately(self):
         rep = ergodicity_report(load_builtin("thue_morse"), 0, 6)
         assert rep.verdict == "unique"
@@ -306,6 +311,23 @@ class TestWordCount:
                     1 for i in range(len(text) - m + 1) if text[i : i + m] == target
                 )
                 assert word_count(rule, target, level, lab) == brute
+            self.check_witness(rule, target, level)
+
+    @staticmethod
+    def check_witness(rule, target, level):
+        """The admissibility witness is the first supertile, in level then
+        label order, whose expansion contains the word, at its str.find
+        position; skipped once a supertile is too large to expand here."""
+        res = is_admissible(rule, target, level)
+        for k in range(level + 1):
+            for lab in resolve_level(rule, k).labels:
+                if cell_count(rule, k, lab) > 10**4:
+                    return
+                pos = word(rule, k, lab).find(target)
+                if pos >= 0:
+                    assert (res.found, res.level, res.label, res.position) == (True, k, lab, (pos,))
+                    return
+        assert not res.found and res.searched_levels == level + 1
 
     def test_fiblike_straddling_word(self):
         fl = load_builtin("fiblike")
@@ -314,10 +336,15 @@ class TestWordCount:
             brute = sum(1 for i in range(len(text) - 2) if text[i : i + 3] == "ATB")
             assert word_count(fl, "ATB", 7, lab) == brute
 
-    def test_budget_applies_to_brute_path(self):
-        tpn = load_builtin("ten_pow_n")
-        with pytest.raises(ExpansionTooLargeError):
-            word_count(tpn, "AA", 1, "A", ExpansionBudget(max_cells=5))
+    def test_keeps_nothing_per_word_on_the_rule(self):
+        # words are unbounded keys; a long-lived rule must not grow with them
+        fib = parse_rule(builtin_text("fibonacci"))
+        word_count(fib, "AB", 50, "A")
+        tables = set(fib._levels)
+        word_count(fib, "ABAAB", 50, "A")
+        patch_universality(fib, "AABAA", 50)
+        is_admissible(fib, "ABAABAA", 50)
+        assert set(fib._levels) == tables
 
     def test_rejects_2d_rules(self):
         with pytest.raises(ValueError):

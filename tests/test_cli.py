@@ -173,6 +173,13 @@ class TestExitCodes:
             code, out, _ = run_cli(argv)
             assert code == 0 and "usage" in out.lower()
 
+    def test_deep_word_search_one_envelope(self, run_cli):
+        argv = ["admissible", "fibonacci", "--word", "BB", "--max-level", "40", "--json"]
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["diagnostics"] == [] and payload["result"]["found"] is False
+
     def test_expansion_cap(self, run_cli):
         code, _, err = run_cli(
             ["expand", "thue_morse", "--level", "6", "--max-cells", "10"]

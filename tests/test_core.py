@@ -85,6 +85,21 @@ class TestEvalGuard:
         for n in range(1, 1000):
             assert eval_guard(IsPow(3, Var()), n) is (n in powers)
 
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_ispow_base_below_two_raises(self, base):
+        # base 1 would loop forever, base 0 divide by zero
+        with pytest.raises(ValueError, match="ispow base must be >= 2"):
+            eval_guard(IsPow(base, Var()), 3)
+
+    def test_unvalidated_rule_with_bad_ispow_base(self):
+        rule = FusionRule(
+            "r", 1,
+            (Prototile("A"),),
+            (SupertileDef("A", (Placement("A"),), IsPow(0, Var())), SupertileDef("A", (Placement("A"),))),
+        )
+        with pytest.raises(ValueError, match="ispow base"):
+            resolve_level(rule, 1)
+
     def test_boolean_connectives(self):
         g = Or(Cmp("==", Var(), Lit(1)), IsPow(3, Var()))
         assert eval_guard(g, 1) and eval_guard(g, 3) and not eval_guard(g, 2)

@@ -139,6 +139,9 @@ class TestPatchConstruction:
         with pytest.raises(DisconnectedError) as exc:
             CellPatch.from_cells({(0, 0): "X", (2, 0): "X"})
         assert exc.value.component_sizes == (1, 1)
+        with pytest.raises(DisconnectedError) as exc:
+            CellPatch.from_cells({(0, 0): "X", (4, 4): "X", (1, 0): "X", (1, 1): "X", (9, 0): "X", (9, 1): "X"})
+        assert exc.value.component_sizes == (3, 2, 1)
 
     def test_from_tiles_rejects_overlap(self):
         chair = load_builtin("chair")
@@ -247,6 +250,12 @@ class TestAdmissibility:
         fib = load_builtin("fibonacci")
         res = is_admissible(fib, "BB", 10)
         assert not res.found and res.searched_levels == 11
+
+    def test_fibonacci_bb_deep_search_never_expands(self):
+        # the level-40 supertile A holds 267914296 tiles, far over the default budget
+        fib = load_builtin("fibonacci")
+        res = is_admissible(fib, "BB", 40)
+        assert not res.found and res.searched_levels == 41
 
     def test_fibonacci_aa(self):
         fib = load_builtin("fibonacci")
