@@ -21,7 +21,6 @@ from typing import Optional, Union
 from .core import FusionRule, resolve_level
 from .errors import InvalidRangeError
 from .expand import (
-    DEFAULT_BUDGET,
     CellPatch,
     ExpansionBudget,
     _word_rows,
@@ -134,9 +133,11 @@ def van_hove_diagnostic(
 
     1D: 2r / length. 2D: the two-sided r-band around the patch boundary
     divided by the cell count, measured on the expanded supertile. Each
-    level reports the worst (largest) supertile ratio.
+    level reports the worst (largest) supertile ratio. depth and r must be
+    at least 1.
     """
-    budget = budget or DEFAULT_BUDGET
+    if depth < 1 or r < 1:
+        raise ValueError(f"depth and r must be >= 1, got depth {depth} and r {r}")
     levels = tuple(range(1, depth + 1))
     ratios = []
     max_labels = []
@@ -309,7 +310,7 @@ def patch_count_2d(
     """Translated occurrences of the patch in the expanded supertile."""
     if rule.dimension != 2 or patch.dimension != 2:
         raise ValueError("patch_count_2d is for 2D rules and patches")
-    expansion = expand_supertile(rule, level, label, budget or DEFAULT_BUDGET)
+    expansion = expand_supertile(rule, level, label, budget)
     return len(occurrences_2d(patch, expansion))
 
 

@@ -105,9 +105,19 @@ def _load_rule(args) -> FusionRule:
     )
 
 
-def _budget(args) -> expand.ExpansionBudget:
-    cap = getattr(args, "max_cells", None)
-    return expand.ExpansionBudget(cap) if cap else expand.DEFAULT_BUDGET
+def _budget(args) -> Optional[expand.ExpansionBudget]:
+    return None if args.max_cells is None else expand.ExpansionBudget(args.max_cells)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an int of at least 1, with int's own message otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +401,7 @@ def _add_rule_arguments(sp, cells_help: Optional[str] = None):
     sp.add_argument("--rule", dest="rule_flag", help="alternative to the positional rule")
     sp.add_argument("--json", action="store_true", help="emit the JSON envelope")
     if cells_help:
-        sp.add_argument("--max-cells", type=int, dest="max_cells", help=cells_help)
+        sp.add_argument("--max-cells", type=_positive_int, dest="max_cells", help=cells_help)
 
 
 def build_parser() -> _ArgumentParser:
@@ -455,7 +465,7 @@ def build_parser() -> _ArgumentParser:
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--supertile", required=True)
     sp.add_argument("--out", help="svg | txt (stdout) or an output file path")
-    sp.add_argument("--cell-size", dest="cell_size", type=int, default=16)
+    sp.add_argument("--cell-size", dest="cell_size", type=_positive_int, default=16)
     sp.set_defaults(handler=_cmd_render)
 
     sp = sub.add_parser("examples", help="list bundled rules")

@@ -7,8 +7,8 @@ text covers every level; resolving a level evaluates the guards and all
 integer expressions (repeats, offsets) into concrete placements.
 
 Rules are immutable. What is derived from a rule level by level (its
-resolutions, bounding boxes, tile/cell counts, volumes and word ends) lives
-in a private table on the rule object, as lists indexed by level. A list is
+resolutions, bounding boxes, tile/cell counts and volumes) lives in a
+private table on the rule object, as lists indexed by level. A list is
 filled by a loop up to the highest level asked for, so no level costs a
 stack frame, and the table is freed with its rule. All arithmetic is exact:
 Python integers for counts and sizes, fractions.Fraction for volumes.

@@ -86,6 +86,8 @@ class _Token:
 
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
 _ONE_CHAR_OPS = "=^@(),:/+-*<>"
+# ASCII only: str.isdigit also takes characters such as "²" that int() rejects
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -116,9 +118,9 @@ def _tokenize(text: str) -> list[_Token]:
                 advance(1)
             continue
         span_start = SourceSpan(line, col, off, 1)
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j] in _DIGITS:
                 j += 1
             tok_text = text[i:j]
             toks.append(_Token("int", tok_text, SourceSpan(line, col, off, len(tok_text))))

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Union
 
-from .core import FusionRule, _component_sizes, _level_rows, _weighted_sums, resolve_level
+from .core import FusionRule, _component_sizes, _weighted_sums, resolve_level
 from .errors import (
     DisconnectedError,
     ExpansionTooLargeError,
@@ -158,57 +159,48 @@ def expand_supertile(
 ) -> CellPatch:
     """Fully expand one supertile into a concrete patch.
 
-    The memo is per call, so repeated subtrees cost their size once and the
-    total work stays proportional to the output plus one copy per level.
+    One loop over levels, like _word_rows: walking down collects the labels
+    each level must supply, then level k is built from level k-1 only, so a
+    call holds two levels and no level costs a stack frame. A 2D child is
+    translated by its offset minus the body's smallest offset on each axis,
+    so every supertile is anchored at its bounding-box min corner, the box
+    that level_sizes and w()/h() measure.
     """
     budget = budget or DEFAULT_BUDGET
     predicted = cell_count(rule, level, label)
     if predicted > budget.max_cells:
         raise ExpansionTooLargeError(predicted, budget.max_cells)
 
+    needed = [{label}]  # labels per level, from the top down
+    for k in range(level, 0, -1):
+        res = resolve_level(rule, k)
+        needed.append({p.child for lab in needed[-1] for p in res.supertile(lab).body})
+    needed.reverse()
     if rule.dimension == 1:
-        memo1: dict[tuple[int, str], tuple[str, ...]] = {}
+        fuse, row = _fuse_words, {lab: (lab,) for lab in needed[0]}
+    else:
+        fuse, row = _fuse_tiles, {lab: (((0, 0), lab),) for lab in needed[0]}
+    for k in range(1, level + 1):
+        res = resolve_level(rule, k)
+        row = {lab: fuse(res.supertile(lab).body, row) for lab in needed[k]}
+    if rule.dimension == 1:
+        return CellPatch(1, labels=row[label])
+    return CellPatch.from_tiles(rule, row[label])
 
-        def rec1(lv: int, lab: str) -> tuple[str, ...]:
-            key = (lv, lab)
-            hit = memo1.get(key)
-            if hit is not None:
-                return hit
-            if lv == 0:
-                out: tuple[str, ...] = (lab,)
-            else:
-                s = resolve_level(rule, lv).supertile(lab)
-                parts = []
-                for p in s.body:
-                    parts.append(rec1(lv - 1, p.child) * p.repeat)
-                out = tuple(x for part in parts for x in part)
-            memo1[key] = out
-            return out
 
-        return CellPatch(1, labels=rec1(level, label))
+def _fuse_words(body, prev) -> tuple[str, ...]:
+    return tuple(chain.from_iterable(prev[p.child] * p.repeat for p in body))
 
-    memo2: dict[tuple[int, str], tuple[tuple[Cell, str], ...]] = {}
 
-    def rec2(lv: int, lab: str) -> tuple[tuple[Cell, str], ...]:
-        key = (lv, lab)
-        hit = memo2.get(key)
-        if hit is not None:
-            return hit
-        if lv == 0:
-            out: tuple[tuple[Cell, str], ...] = (((0, 0), lab),)
-        else:
-            s = resolve_level(rule, lv).supertile(lab)
-            acc = []
-            for p in s.body:
-                child = rec2(lv - 1, p.child)
-                ox, oy = p.offset if p.offset is not None else (0, 0)
-                for _ in range(p.repeat):
-                    acc.extend((((x + ox, y + oy), clab) for (x, y), clab in child))
-            out = tuple(acc)
-        memo2[key] = out
-        return out
-
-    return CellPatch.from_tiles(rule, rec2(level, label))
+def _fuse_tiles(body, prev) -> tuple[tuple[Cell, str], ...]:
+    offsets = [p.offset or (0, 0) for p in body]
+    minx, miny = map(min, zip(*offsets))
+    out = []
+    for p, (ox, oy) in zip(body, offsets):
+        dx, dy = ox - minx, oy - miny
+        for _ in range(p.repeat):
+            out.extend(((x + dx, y + dy), lab) for (x, y), lab in prev[p.child])
+    return tuple(out)
 
 
 def tile_census(patch: CellPatch) -> dict[str, int]:
@@ -270,36 +262,6 @@ def parse_word(rule: FusionRule, text: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Prefixes, suffixes and word counts without expansion
 # ---------------------------------------------------------------------------
-
-
-def _ends(rule: FusionRule, level: int, length: int) -> list[dict[str, tuple[tuple[str, ...], tuple[str, ...]]]]:
-    """Per level 0..level, each supertile's first and last min(length, size)
-    labels, built from its children's ends; nothing is expanded."""
-
-    def head(parts) -> tuple[str, ...]:
-        # the first `length` labels of the (piece, repeat) runs; every copy
-        # adds a label, so no run needs more than `length` copies
-        out: list[str] = []
-        for piece, repeat in parts:
-            for _ in range(min(repeat, length)):
-                out.extend(piece)
-                if len(out) >= length:
-                    return tuple(out[:length])
-        return tuple(out)
-
-    def row(k: int, prev) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-        if k == 0:
-            return {lab: ((lab,), (lab,)) for lab in rule.prototile_names()}
-        return {
-            # a suffix is the reversed head of the reversed children
-            s.label: (
-                head((prev[p.child][0], p.repeat) for p in s.body),
-                head((prev[p.child][1][::-1], p.repeat) for p in reversed(s.body))[::-1],
-            )
-            for s in resolve_level(rule, k).supertiles
-        }
-
-    return _level_rows(rule, ("ends", length), level, row)
 
 
 def _cross_count(left: tuple[str, ...], right: tuple[str, ...], word: tuple[str, ...]) -> tuple[int, Optional[int]]:
@@ -369,13 +331,38 @@ def prefix_suffix(rule: FusionRule, level: int, label: str, length: int) -> tupl
     """First and last min(length, size) labels of the expansion, as words.
 
     Built level by level from the children's ends, so it works at levels
-    whose full expansion is far beyond any budget.
+    whose full expansion is far beyond any budget. A call holds two levels
+    at a time and keeps nothing on the rule.
     """
     if rule.dimension != 1:
         raise ValueError("prefix_suffix is for 1D rules")
     if length < 1:
         raise ValueError("length must be >= 1")
-    pre, suf = _ends(rule, level, length)[level][label]
+    if level < 0:
+        raise ValueError("level must be >= 0")
+
+    def head(parts) -> tuple[str, ...]:
+        # the first `length` labels of the (piece, repeat) runs; every copy
+        # adds a label, so no run needs more than `length` copies
+        out: list[str] = []
+        for piece, repeat in parts:
+            for _ in range(min(repeat, length)):
+                out.extend(piece)
+                if len(out) >= length:
+                    return tuple(out[:length])
+        return tuple(out)
+
+    ends = {lab: ((lab,), (lab,)) for lab in rule.prototile_names()}
+    for k in range(1, level + 1):
+        ends = {
+            # a suffix is the reversed head of the reversed children
+            s.label: (
+                head((ends[p.child][0], p.repeat) for p in s.body),
+                head((ends[p.child][1][::-1], p.repeat) for p in reversed(s.body))[::-1],
+            )
+            for s in resolve_level(rule, k).supertiles
+        }
+    pre, suf = ends[label]
     return (word_string(rule, pre), word_string(rule, suf))
 
 
@@ -451,7 +438,6 @@ def is_admissible(
                 if count:
                     return AdmissibilityResult(True, level, label, (first,), level + 1)
         return AdmissibilityResult(False, searched_levels=max_level + 1)
-    budget = budget or DEFAULT_BUDGET
     for level in range(0, max_level + 1):
         for label in resolve_level(rule, level).labels:
             hits = occurrences_2d(patch, expand_supertile(rule, level, label, budget))

@@ -123,6 +123,11 @@ class TestVanHove:
         rep = van_hove_diagnostic(load_builtin("thue_morse"), 3, r=3)
         assert rep.ratios == (Fraction(3), Fraction(3, 2), Fraction(3, 4))
 
+    @pytest.mark.parametrize("name, depth, r", [("chair", 0, 1), ("chair", 1, 0), ("fibonacci", 3, -1), ("fibonacci", -2, 1)])
+    def test_out_of_range_arguments_raise(self, name, depth, r):
+        with pytest.raises(ValueError):
+            van_hove_diagnostic(load_builtin(name), depth, r)
+
 
 class TestFrequencyHull:
     def test_thue_morse_point(self):

@@ -180,6 +180,32 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["diagnostics"] == [] and payload["result"]["found"] is False
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["vanhove", "chair", "--depth", "0"], 1),
+            (["vanhove", "chair", "--radius", "0"], 1),
+            (["vanhove", "fibonacci", "--radius", "-1"], 1),
+            (["expand", "thue_morse", "--level", "2", "--max-cells", "0"], 2),
+            (["expand", "thue_morse", "--level", "2", "--max-cells", "-1"], 2),
+            (["render", "chair", "--level", "0", "--supertile", "NE", "--out", "svg", "--cell-size", "0"], 2),
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, run_cli, argv, want):
+        code, out, err = run_cli(argv + ["--json"])
+        assert code == want and err == ""
+        payload = json.loads(out)  # exactly one envelope
+        assert payload["result"] is None and payload["diagnostics"]
+        assert all("code" not in d for d in payload["diagnostics"])
+
+    def test_one_child_rule_expands_at_level_2000(self, run_cli, tmp_path):
+        path = tmp_path / "one.fusion"
+        path.write_text("rule one dim 1\nprototile A\nlevel default:\n  A = A\n", encoding="utf-8")
+        code, out, err = run_cli(["expand", str(path), "--level", "2000", "--json"])
+        assert code == 0 and err == ""
+        (entry,) = json.loads(out)["result"]["supertiles"]
+        assert (entry["text"], entry["tiles"]) == ("A", "1")
+
     def test_expansion_cap(self, run_cli):
         code, _, err = run_cli(
             ["expand", "thue_morse", "--level", "6", "--max-cells", "10"]

@@ -142,6 +142,14 @@ class TestParseErrors:
         else:
             pytest.fail("expected ParseError")
 
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_integers_are_ascii_digits(self, digit):
+        with pytest.raises(ParseError) as exc:
+            parse_rule_text(f"rule r dim {digit}")
+        d = exc.value.diagnostics[0]
+        assert (d.span.line, d.span.column) == (1, 12)
+        assert "unexpected character" in d.message
+
     def test_validation_errors_propagate(self):
         with pytest.raises(ValidationError) as ei:
             parse_rule("rule r dim 1 prototile A\n")

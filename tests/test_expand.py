@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionlab.builtins import builtin_names, load_builtin
+from fusionlab.builtins import builtin_names, builtin_text, load_builtin
+from fusionlab.core import FusionRule, Lit, Placement, Prototile, SupertileDef, level_sizes, resolve_level
 from fusionlab.dsl import parse_rule
-from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, OverlapError
+from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError
 from fusionlab.expand import (
     CellPatch,
     ExpansionBudget,
@@ -126,6 +129,83 @@ class TestTwoDimensional:
         assert painted == patch.grid()
 
 
+LEFTY = (
+    "rule lefty dim 2\n"
+    "prototile P\n"
+    "prototile Q\n"
+    "level default:\n"
+    "  P = P Q@(0-w(Q),0)\n"
+    "  Q = Q P@(0,h(Q))\n"
+)
+
+
+class TestLevelLoop:
+    @pytest.mark.parametrize("dim, label", [(1, "A"), (2, "P")])
+    def test_one_child_rule_at_level_2000(self, dim, label):
+        rule = parse_rule(f"rule one dim {dim}\nprototile {label}\nlevel default:\n  {label} = {label}\n")
+        patch = expand_supertile(rule, 2000, label)
+        assert patch.cell_count() == 1 and tile_census(patch) == {label: 1}
+
+    def test_offsets_place_bounding_box_corners(self):
+        lefty = parse_rule(LEFTY)
+        assert render_text(expand_supertile(lefty, 2, "P"), lefty) == "P..\nQQP"
+        for level in range(3):
+            for label in ("P", "Q"):
+                patch = expand_supertile(lefty, level, label)
+                assert patch.size() == level_sizes(lefty, level)[label]
+
+
+def reference_tiles(rule, level, label):
+    """Placed tiles of a 2D supertile by a recursive walk that moves each
+    child so its bounding-box min corner, measured on its cells, lands on
+    the child's offset."""
+    if level == 0:
+        return [((0, 0), label)]
+    tiles = []
+    for p in resolve_level(rule, level).supertile(label).body:
+        child = reference_tiles(rule, level - 1, p.child)
+        cells = [(x + cx, y + cy) for (x, y), lab in child for cx, cy in rule.prototile(lab).cells]
+        dx = p.offset[0] - min(x for x, _ in cells)
+        dy = p.offset[1] - min(y for _, y in cells)
+        tiles += [((x + dx, y + dy), lab) for (x, y), lab in child] * p.repeat
+    return tiles
+
+
+@st.composite
+def small_2d_rules(draw):
+    names = ("P", "Q")[: draw(st.integers(min_value=1, max_value=2))]
+    offset = st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
+    placement = st.tuples(st.sampled_from(names), offset)
+    definitions = tuple(
+        SupertileDef(name, tuple(
+            Placement(child, Lit(1), (Lit(x), Lit(y)))
+            for child, (x, y) in draw(st.lists(placement, min_size=2, max_size=3))
+        ))
+        for name in names
+    )
+    prototiles = tuple(Prototile(name, Fraction(1), cells=((0, 0),)) for name in names)
+    return FusionRule("random", 2, prototiles, definitions)
+
+
+def outcome(build):
+    try:
+        return build()
+    except FusionError as e:
+        return (type(e), vars(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=small_2d_rules(), level=st.integers(min_value=0, max_value=3), pick=st.integers(min_value=0, max_value=1))
+def test_expansion_matches_anchored_reference(rule, level, pick):
+    names = rule.prototile_names()
+    label = names[pick % len(names)]
+    got = outcome(lambda: expand_supertile(rule, level, label))
+    want = outcome(lambda: CellPatch.from_tiles(rule, reference_tiles(rule, level, label)))
+    assert got == want
+    if isinstance(got, CellPatch):
+        assert got.size() == level_sizes(rule, level)[label]
+
+
 class TestPatchConstruction:
     def test_from_word_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -191,6 +271,14 @@ class TestPrefixSuffix:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             prefix_suffix(load_builtin("chair"), 1, "NE", 2)
+
+    def test_keeps_nothing_on_the_rule(self):
+        rule = parse_rule(builtin_text("fibonacci"))
+        prefix_suffix(rule, 20, "A", 2)
+        before = set(rule._levels)
+        for length in (3, 5, 8):
+            prefix_suffix(rule, 20, "A", length)
+        assert set(rule._levels) == before
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -351,6 +439,4 @@ def test_expansion_census_matches_tile_count(name, level, pick):
 
 
 def resolve_labels(rule, level):
-    from fusionlab.core import resolve_level
-
     return resolve_level(rule, level).labels
