@@ -293,11 +293,17 @@ def word_count(
     prefixes and suffixes of length |word|-1 (see expand._word_rows). There
     is no budget: supertiles with 10^n children or at level 2000 stay cheap.
     """
+    return _word_counts(rule, word, level)[label]
+
+
+def _word_counts(rule: FusionRule, word: Union[str, tuple[str, ...]], level: int) -> dict[str, int]:
+    """Occurrences of the word in every level-n supertile, from one pass."""
     if rule.dimension != 1:
         raise ValueError("word_count is for 1D rules")
     if level < 0:
         raise ValueError("level must be >= 0")
-    return deque(_word_rows(rule, word, level), maxlen=1)[0][label][0]
+    row = deque(_word_rows(rule, word, level), maxlen=1)[0]
+    return {label: count for label, (count, _) in row.items()}
 
 
 def patch_count_2d(
@@ -343,7 +349,8 @@ def patch_frequency_estimate(
 
     lo/hi are the min/max over hull vertices rho of
     sum_i count(patch, P_n(i)) * rho_i; exact rationals. A word is counted
-    without expanding; budget caps the expansions that count a 2D patch.
+    for every label in one pass, without expanding; budget caps the
+    expansions that count a 2D patch.
     """
     labels_n = resolve_level(rule, n).labels
     if isinstance(patch, CellPatch) and patch.dimension == 2:
@@ -351,7 +358,8 @@ def patch_frequency_estimate(
         description = f"patch[{patch.cell_count()} cells]"
     else:
         word = patch if isinstance(patch, (str, tuple)) else tuple(patch.labels)
-        counts = [word_count(rule, word, n, lab) for lab in labels_n]
+        by_label = _word_counts(rule, word, n)
+        counts = [by_label[lab] for lab in labels_n]
         description = word if isinstance(word, str) else "".join(word)
     hull = frequency_hull(rule, n, N)
     values = [

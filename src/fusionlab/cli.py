@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from . import analysis, dsl, expand, transition
 from .builtins import BUILTIN_RULES, builtin_names, builtin_text, load_builtin
 from .core import FusionRule, resolve_level, validate_rule
+from .dsl import _frac_str
 from .errors import FusionError, ParseError, ValidationError
 
 SCHEMA = "fusionlab/1"
@@ -48,10 +49,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         if status:
             raise _UsageError(message or "")
         raise _HelpExit()
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _dump(payload) -> str:

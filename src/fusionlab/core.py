@@ -7,11 +7,12 @@ text covers every level; resolving a level evaluates the guards and all
 integer expressions (repeats, offsets) into concrete placements.
 
 Rules are immutable. What is derived from a rule level by level (its
-resolutions, bounding boxes, tile/cell counts and volumes) lives in a
-private table on the rule object, as lists indexed by level. A list is
-filled by a loop up to the highest level asked for, so no level costs a
-stack frame, and the table is freed with its rule. All arithmetic is exact:
-Python integers for counts and sizes, fractions.Fraction for volumes.
+resolutions, tile/cell counts, volumes and, for 2D rules, bounding boxes)
+lives in a private table on the rule object, as lists indexed by level. A
+list is filled by a loop up to the highest level asked for, so no level
+costs a stack frame, and the table is freed with its rule. All arithmetic
+is exact: Python integers for counts and sizes, fractions.Fraction for
+volumes.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ def eval_expr(expr: IntExpr, n: int, dims: Optional[Mapping[str, tuple[int, int]
             return a**b
         raise ValueError(f"unknown operator {expr.op!r}")
     raise TypeError(f"not an IntExpr: {expr!r}")
+
+
+def _has_dim(e: IntExpr) -> bool:
+    return isinstance(e, Dim) or isinstance(e, BinOp) and (_has_dim(e.left) or _has_dim(e.right))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +200,21 @@ def eval_guard(guard: Guard, n: int) -> bool:
 class Prototile:
     """A level-0 tile.
 
-    In dimension 1 the shape is a cell length (the file format always
-    yields 1; other lengths are reachable programmatically). In dimension 2
-    the shape is a polyomino given as cells sorted by (x, y); constructors
-    should pass cells with min x = min y = 0.
+    In dimension 1 every tile is one cell, so a supertile's length is its
+    tile count, and cells stays None. In dimension 2 the shape is a
+    polyomino given as cells sorted by (x, y), anchored at min x = min y = 0;
+    None means the single cell (0, 0).
     volume defaults to 1 in 1D and to the cell count in 2D.
     """
 
     name: str
     volume: Fraction = Fraction(1)
     cells: Optional[tuple[tuple[int, int], ...]] = None
-    length: int = 1
 
     def size(self) -> tuple[int, int]:
         """Bounding-box (width, height) in cells."""
         if self.cells is None:
-            return (self.length, 1)
+            return (1, 1)
         xs = [c[0] for c in self.cells]
         ys = [c[1] for c in self.cells]
         return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
@@ -218,11 +222,11 @@ class Prototile:
 
 @dataclass(frozen=True)
 class Placement:
-    """One child in a definition body: child label, repeat, optional offset.
+    """One child in a definition body.
 
-    offset is None exactly in dimension 1, where list order is the
-    concatenation order. repeat must evaluate >= 1 wherever the enclosing
-    definition is active.
+    In dimension 1: a child and a repeat that evaluates >= 1, concatenated
+    in list order; offset is None. In dimension 2: one child at one offset,
+    where its bounding-box min corner goes; repeat is 1.
     """
 
     child: str
@@ -260,6 +264,12 @@ class FusionRule:
         # derived lists keyed by what they hold, each indexed by level; not
         # a dataclass field, so it takes no part in eq, hash or repr
         return {}
+
+    @cached_property
+    def _uses_dims(self) -> bool:
+        # whether a repeat or offset reads w()/h(), so that resolving a level
+        # needs the bounding boxes of the level below
+        return any(_has_dim(e) for d in self.definitions for p in d.body for e in (p.repeat, *(p.offset or ())))
 
 
 # Keeps threads that share a rule from appending one level twice.
@@ -327,21 +337,22 @@ def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
     """Resolve the definitions active at level n.
 
     Among several definitions for the same label, the first whose guard
-    holds wins. Repeats and offsets are evaluated with the previous level's
-    bounding boxes available through w()/h().
+    holds wins. Repeats and offsets see the previous level's bounding boxes
+    through w()/h(); the boxes are computed only for rules that use them.
     """
 
-    def row(k: int, _) -> LevelResolution:
+    def row(k: int, prev: LevelResolution) -> LevelResolution:
         if k == 0:
             return LevelResolution(0, tuple(ResolvedSupertile(p.name, ()) for p in rule.prototiles))
-        dims = level_sizes(rule, k - 1)
+        children = set(prev.labels)
+        dims = level_sizes(rule, k - 1) if rule._uses_dims else None
         taken: dict[str, ResolvedSupertile] = {}
         for d in rule.definitions:
             if d.label in taken or not eval_guard(d.guard, k):
                 continue
             body = []
             for p in d.body:
-                if p.child not in dims:
+                if p.child not in children:
                     raise UndefinedLabelError(p.child, k)
                 r = eval_expr(p.repeat, k, dims)
                 if r < 1:
@@ -361,39 +372,36 @@ def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
 def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:
     """Bounding boxes (width, height) of every level-n supertile.
 
-    Computed from placements without expanding cells, so this stays cheap
-    even where expansions would be astronomically large.
+    A 1D box is (tile count, 1), as every tile is one cell. A 2D child spans
+    [offset, offset + size) on each axis. Computed without expanding cells,
+    so this stays cheap where expansions would be astronomically large.
     """
+    if rule.dimension == 1:
+        return {label: (count, 1) for label, count in _weighted_sums(rule, n, "tiles").items()}
 
     def row(k: int, prev) -> dict[str, tuple[int, int]]:
         if k == 0:
             return {p.name: p.size() for p in rule.prototiles}
-        out: dict[str, tuple[int, int]] = {}
-        for s in resolve_level(rule, k).supertiles:
-            if rule.dimension == 1:
-                out[s.label] = (sum(p.repeat * prev[p.child][0] for p in s.body), 1)
-            else:
-                # children are anchored at their bbox min corner, so each spans
-                # [off, off + size) per axis
-                xs = []
-                ys = []
-                for p in s.body:
-                    ox, oy = p.offset if p.offset is not None else (0, 0)
-                    w, h = prev[p.child]
-                    xs.append((ox, ox + w))
-                    ys.append((oy, oy + h))
-                out[s.label] = (
-                    max(b for _, b in xs) - min(a for a, _ in xs),
-                    max(b for _, b in ys) - min(a for a, _ in ys),
-                )
-        return out
+        return {
+            s.label: tuple(
+                max(p.offset[a] + prev[p.child][a] for p in s.body) - min(p.offset[a] for p in s.body)
+                for a in (0, 1)
+            )
+            for s in resolve_level(rule, k).supertiles
+        }
 
     return _level_rows(rule, "sizes", n, row)[n]
 
 
-def _weighted_sums(rule: FusionRule, n: int, key: str, weight: Callable[[Prototile], Any]) -> dict[str, Any]:
-    """Per-label totals of a prototile weight over the level-n supertiles,
-    kept in the rule's list `key`: tile counts, cell counts or volumes.
+# The level-0 weight of each list of per-label totals on the rule, in one
+# table, so a key always sums the same weight.
+_WEIGHTS = {"tiles": lambda p: 1, "cells": lambda p: len(p.cells or ((0, 0),)), "volume": lambda p: p.volume}
+
+
+def _weighted_sums(rule: FusionRule, n: int, key: str) -> dict[str, Any]:
+    """Per-label totals of the prototile weight _WEIGHTS[key] over the
+    level-n supertiles, kept in the rule's list `key`: tile counts, 2D cell
+    counts or volumes.
 
     Level 0 is the weight of each prototile; each higher level sums repeat
     x child total over each body.
@@ -401,7 +409,7 @@ def _weighted_sums(rule: FusionRule, n: int, key: str, weight: Callable[[Prototi
 
     def row(k: int, prev) -> dict[str, Any]:
         if k == 0:
-            return {p.name: weight(p) for p in rule.prototiles}
+            return {p.name: _WEIGHTS[key](p) for p in rule.prototiles}
         return {
             s.label: sum(p.repeat * prev[p.child] for p in s.body)
             for s in resolve_level(rule, k).supertiles
@@ -481,8 +489,6 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
         if rule.dimension == 1:
             if p.cells is not None:
                 out.append(Diagnostic("bad-shape", f"1D prototile {p.name!r} must not declare cells"))
-            if p.length < 1:
-                out.append(Diagnostic("bad-shape", f"1D prototile {p.name!r} has length {p.length}"))
         else:
             cells = p.cells if p.cells is not None else ((0, 0),)
             if not cells:
@@ -505,6 +511,10 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
         for p in d.body:
             if rule.dimension == 1 and p.offset is not None:
                 out.append(Diagnostic("offset-in-1d", f"1D placement of {p.child!r} carries an offset", label=d.label))
+            if rule.dimension == 2 and p.repeat != Lit(1):
+                out.append(Diagnostic("repeat-in-2d", f"2D placement of {p.child!r} carries a repeat", label=d.label))
+            if rule.dimension == 2 and p.offset is None:
+                out.append(Diagnostic("no-offset-in-2d", f"2D placement of {p.child!r} has no offset", label=d.label))
 
     if out:
         return out

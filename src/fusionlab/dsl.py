@@ -7,16 +7,17 @@ Grammar (whitespace-insensitive, # comments to end of line):
     cell      := "(" INT "," INT ")"
     levelblock:= "level" guard ":" def+
     def       := IDENT "=" placement+ ["if" guard | "otherwise"]
-    placement := IDENT ["^" "(" expr ")"] ["@" "(" expr "," expr ")"]
+    placement := IDENT ["^" "(" expr ")"] (dim 1) | IDENT ["@" "(" expr "," expr ")"] (dim 2)
     guard     := or-combination of comparisons, ispow(INT, expr), "default",
                  with not/and/or precedence and parentheses
     expr      := INT | "n" | "w(" IDENT ")" | "h(" IDENT ")"
                | expr ("+"|"-"|"*"|"^") expr | "(" expr ")"
 
-Cells and volumes only make sense in the dimension that declares them;
-offsets ("@") exist only in dimension 2 and default to (0,0) for the first
-placement of a body. A definition inside `level G:` with its own `if H`
-clause is active where both hold.
+Repeats ("^") exist only in dimension 1, where a tile is one cell. Cells
+and offsets ("@") exist only in dimension 2, where a placement is one child
+at one offset; the first placement of a body defaults to (0,0). A
+definition inside `level G:` with its own `if H` clause is active where
+both hold.
 
 format_rule emits a canonical text (single level block, one definition per
 line, normalized spacing) and parse_rule(format_rule(r)) reproduces r
@@ -419,7 +420,9 @@ class _Parser:
         repeat: IntExpr = Lit(1)
         offset: Optional[tuple[IntExpr, IntExpr]] = None
         if self.peek().kind == "op" and self.peek().value == "^":
-            self.take()
+            caret_tok = self.take()
+            if self.dimension == 2:
+                self.fail("repeats are only available in dimension 1", caret_tok)
             self.expect_op("(")
             repeat = self.parse_expr()
             self.expect_op(")")
@@ -531,7 +534,8 @@ def format_guard(g: Guard) -> str:
     raise TypeError(f"not a Guard: {g!r}")
 
 
-def _format_volume(v: Fraction) -> str:
+def _frac_str(v: Fraction) -> str:
+    """A rational as "p/q", or as "p" when the denominator is 1."""
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
@@ -557,7 +561,7 @@ def format_rule(rule: FusionRule) -> str:
         line = f"prototile {p.name}"
         default_volume = Fraction(len(p.cells)) if p.cells is not None else Fraction(1)
         if p.volume != default_volume:
-            line += f" volume {_format_volume(p.volume)}"
+            line += f" volume {_frac_str(p.volume)}"
         if p.cells is not None and p.cells != ((0, 0),):
             line += " cells " + " ".join(f"({x},{y})" for x, y in p.cells)
         lines.append(line)

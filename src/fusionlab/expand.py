@@ -52,18 +52,23 @@ _PALETTE = (
 
 @dataclass(frozen=True)
 class CellPatch:
-    """A finite patch: 1D label sequence or 2D labeled cells.
+    """A finite patch: 1D label sequence or 2D placed tiles.
 
-    2D patches are anchored (min x = min y = 0). tiles records the placed
-    prototiles as (anchor, label) pairs when the decomposition is known
-    (always, for expansions); cells is the per-cell label map derived from
-    it. Patches built directly from unit cells get one tile per cell.
+    A 1D patch is its labels, one cell each. A 2D patch is its tiles: the
+    placed prototiles as (anchor, label) pairs, anchored at min x = min y =
+    0, and a 2D patch without tiles raises ValueError. cells is the
+    per-cell label map derived from the tiles, for rendering and boundary
+    geometry. Patches built directly from unit cells get one tile per cell.
     """
 
     dimension: int
     labels: Optional[tuple[str, ...]] = None
     cells: Optional[tuple[tuple[Cell, str], ...]] = None
     tiles: Optional[tuple[tuple[Cell, str], ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.dimension == 2 and self.tiles is None:
+            raise ValueError("a 2D patch needs its tiles")
 
     @staticmethod
     def from_word(labels) -> "CellPatch":
@@ -115,18 +120,13 @@ class CellPatch:
         return (max(xs) + 1, max(ys) + 1)
 
 
-def _prototile_cells(rule: FusionRule, label: str) -> tuple[Cell, ...]:
-    p = rule.prototile(label)
-    return p.cells if p.cells is not None else ((0, 0),)
-
-
 def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
     """Cell map of placed tiles; OverlapError names the two tile indices
     that claim the same cell."""
     seen: dict[Cell, int] = {}
     out = []
     for idx, ((ax, ay), lab) in enumerate(tiles):
-        for cx, cy in _prototile_cells(rule, lab):
+        for cx, cy in rule.prototile(lab).cells or ((0, 0),):
             cell = (ax + cx, ay + cy)
             if cell in seen:
                 raise OverlapError(seen[cell], idx, cell)
@@ -143,12 +143,13 @@ def _check_connected(cells: Iterable[Cell]) -> None:
 
 def tile_count(rule: FusionRule, level: int, label: str) -> int:
     """Number of level-0 tiles in the supertile, without expanding."""
-    return _weighted_sums(rule, level, "tiles", lambda p: 1)[label]
+    return _weighted_sums(rule, level, "tiles")[label]
 
 
 def cell_count(rule: FusionRule, level: int, label: str) -> int:
-    """Number of cells the expanded supertile would occupy."""
-    return _weighted_sums(rule, level, "cells", lambda p: len(p.cells) if p.cells is not None else p.length)[label]
+    """Number of cells the expanded supertile would occupy; in 1D, where a
+    tile is one cell, the tile count."""
+    return _weighted_sums(rule, level, "tiles" if rule.dimension == 1 else "cells")[label]
 
 
 def expand_supertile(
@@ -193,24 +194,19 @@ def _fuse_words(body, prev) -> tuple[str, ...]:
 
 
 def _fuse_tiles(body, prev) -> tuple[tuple[Cell, str], ...]:
-    offsets = [p.offset or (0, 0) for p in body]
-    minx, miny = map(min, zip(*offsets))
+    minx, miny = map(min, zip(*(p.offset for p in body)))
     out = []
-    for p, (ox, oy) in zip(body, offsets):
-        dx, dy = ox - minx, oy - miny
-        for _ in range(p.repeat):
-            out.extend(((x + dx, y + dy), lab) for (x, y), lab in prev[p.child])
+    for p in body:
+        dx, dy = p.offset[0] - minx, p.offset[1] - miny
+        out.extend(((x + dx, y + dy), lab) for (x, y), lab in prev[p.child])
     return tuple(out)
 
 
 def tile_census(patch: CellPatch) -> dict[str, int]:
     """How many tiles of each label the patch contains."""
-    seq = patch.labels if patch.dimension == 1 else patch.tiles
-    if seq is None:
-        raise ValueError("patch has no tile decomposition")
     if patch.dimension == 1:
-        return dict(Counter(seq))
-    return dict(Counter(lab for _, lab in seq))
+        return dict(Counter(patch.labels))
+    return dict(Counter(lab for _, lab in patch.tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +379,18 @@ class AdmissibilityResult:
 def occurrences_2d(patch: CellPatch, inside: CellPatch) -> list[Cell]:
     """Translations t with patch + t contained in inside.
 
-    Matches placed tiles against placed tiles when both decompositions are
-    known (faithful counting even where same-label tiles touch); otherwise
-    falls back to matching the cell maps.
+    Matches placed tiles against placed tiles, so two same-label tiles that
+    touch are never mistaken for one larger tile.
     """
-    if patch.tiles is not None and inside.tiles is not None:
-        have = set(inside.tiles)
-        (ax, ay), alab = patch.tiles[0]
-        rest = patch.tiles[1:]
-        hits = []
-        for (bx, by), blab in inside.tiles:
-            if blab != alab:
-                continue
-            t = (bx - ax, by - ay)
-            if all(((x + t[0], y + t[1]), lab) in have for (x, y), lab in rest):
-                hits.append(t)
-        return sorted(hits)
-    grid = inside.grid()
-    (ax, ay), alab = patch.cells[0]
-    rest = patch.cells[1:]
+    have = set(inside.tiles)
+    (ax, ay), alab = patch.tiles[0]
+    rest = patch.tiles[1:]
     hits = []
-    for (bx, by), blab in grid.items():
+    for (bx, by), blab in inside.tiles:
         if blab != alab:
             continue
         t = (bx - ax, by - ay)
-        if all(grid.get((x + t[0], y + t[1])) == lab for (x, y), lab in rest):
+        if all(((x + t[0], y + t[1]), lab) in have for (x, y), lab in rest):
             hits.append(t)
     return sorted(hits)
 

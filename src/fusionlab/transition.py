@@ -102,5 +102,5 @@ def volumes(rule: FusionRule, n: int) -> VolumeVector:
     Level 0 reads the prototile declarations; level n sums repeat x child
     volume over each body.
     """
-    sums = _weighted_sums(rule, n, "volume", lambda p: p.volume)
+    sums = _weighted_sums(rule, n, "volume")
     return VolumeVector(n, tuple(sums), tuple(sums.values()))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fusionlab import analysis
 from fusionlab.analysis import (
     ergodicity_report,
     frequency_hull,
@@ -430,6 +431,26 @@ class TestFrequencyEstimates:
         # compare against counts per unit volume at horizon 9
         freq = Fraction(brute, int(volumes(fib, 9).value("A")))
         assert est.lo - Fraction(1, 10) <= freq <= est.hi + Fraction(1, 10)
+
+    def test_one_word_pass_for_every_label(self, monkeypatch):
+        passes = []
+        word_rows = analysis._word_rows
+
+        def counted(*args):
+            passes.append(args)
+            return word_rows(*args)
+
+        monkeypatch.setattr(analysis, "_word_rows", counted)
+        for name, patch, n, N, lo, hi in (
+            ("fibonacci", "AB", 6, 12, Fraction(144, 377), Fraction(89, 233)),
+            ("fiblike", "BA", 5, 11, Fraction(21, 233), Fraction(13, 144)),
+        ):
+            rule = load_builtin(name)
+            assert len(resolve_level(rule, n).labels) >= 2
+            passes.clear()
+            est = patch_frequency_estimate(rule, patch, n, N)
+            assert len(passes) == 1
+            assert (est.lo, est.hi) == (lo, hi)
 
 
 class TestUniversality:

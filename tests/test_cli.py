@@ -103,6 +103,17 @@ class TestRuleLoading:
         assert diag["severity"] == "error"
         assert diag["line"] == "1"
 
+    def test_repeat_in_2d_diagnostic_json(self, run_cli, tmp_path):
+        path = tmp_path / "rep.fusion"
+        path.write_text("rule rep dim 2\nprototile P\nprototile Q\nlevel default:\n  P = P^(2)@(0,0) Q@(1,0)\n  Q = Q\n")
+        code, out, err = run_cli(["parse", str(path), "--json"])
+        assert code == 1 and err == ""
+        payload = json.loads(out)  # exactly one envelope
+        assert payload["result"] is None
+        assert payload["diagnostics"] == [
+            {"severity": "error", "message": "repeats are only available in dimension 1", "line": "5", "column": "8"}
+        ]
+
     def test_validation_error_diagnostics_json(self, run_cli, tmp_path):
         path = tmp_path / "undefined.fusion"
         path.write_text("rule u dim 1\nprototile A\nlevel default:\n  A = A B\n")

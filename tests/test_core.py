@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from fusionlab.core import (
     Or,
     Placement,
     Prototile,
+    ResolvedPlacement,
+    ResolvedSupertile,
     SupertileDef,
     Var,
     eval_expr,
@@ -28,6 +31,7 @@ from fusionlab.core import (
 )
 from fusionlab.dsl import parse_rule
 from fusionlab.errors import NegativeExponentError, UnknownDimensionError
+from fusionlab.expand import cell_count, tile_count
 from fusionlab.transition import transition_matrix
 
 
@@ -183,10 +187,73 @@ class TestLevelTable:
             level_sizes(load_builtin("fibonacci"), -1)
 
 
+# fib2d at levels 0-12, recorded from the version that built boxes at every
+# level: per level, the offsets of each body (children as in the rule text)
+# and the box of each supertile
+FIB2D_LEVELS = [
+    ({"AA": (), "AB": (), "BA": (), "BB": ()},
+     {"AA": (1, 1), "AB": (1, 1), "BA": (1, 1), "BB": (1, 1)}),
+    ({"AA": ((0, 0), (1, 0), (0, 1), (1, 1)), "AB": ((0, 0), (1, 0)), "BA": ((0, 0), (0, 1)), "BB": ((0, 0),)},
+     {"AA": (2, 2), "AB": (2, 1), "BA": (1, 2), "BB": (1, 1)}),
+    ({"AA": ((0, 0), (2, 0), (0, 2), (2, 2)), "AB": ((0, 0), (2, 0)), "BA": ((0, 0), (0, 2)), "BB": ((0, 0),)},
+     {"AA": (3, 3), "AB": (3, 2), "BA": (2, 3), "BB": (2, 2)}),
+    ({"AA": ((0, 0), (3, 0), (0, 3), (3, 3)), "AB": ((0, 0), (3, 0)), "BA": ((0, 0), (0, 3)), "BB": ((0, 0),)},
+     {"AA": (5, 5), "AB": (5, 3), "BA": (3, 5), "BB": (3, 3)}),
+    ({"AA": ((0, 0), (5, 0), (0, 5), (5, 5)), "AB": ((0, 0), (5, 0)), "BA": ((0, 0), (0, 5)), "BB": ((0, 0),)},
+     {"AA": (8, 8), "AB": (8, 5), "BA": (5, 8), "BB": (5, 5)}),
+    ({"AA": ((0, 0), (8, 0), (0, 8), (8, 8)), "AB": ((0, 0), (8, 0)), "BA": ((0, 0), (0, 8)), "BB": ((0, 0),)},
+     {"AA": (13, 13), "AB": (13, 8), "BA": (8, 13), "BB": (8, 8)}),
+    ({"AA": ((0, 0), (13, 0), (0, 13), (13, 13)), "AB": ((0, 0), (13, 0)), "BA": ((0, 0), (0, 13)), "BB": ((0, 0),)},
+     {"AA": (21, 21), "AB": (21, 13), "BA": (13, 21), "BB": (13, 13)}),
+    ({"AA": ((0, 0), (21, 0), (0, 21), (21, 21)), "AB": ((0, 0), (21, 0)), "BA": ((0, 0), (0, 21)), "BB": ((0, 0),)},
+     {"AA": (34, 34), "AB": (34, 21), "BA": (21, 34), "BB": (21, 21)}),
+    ({"AA": ((0, 0), (34, 0), (0, 34), (34, 34)), "AB": ((0, 0), (34, 0)), "BA": ((0, 0), (0, 34)), "BB": ((0, 0),)},
+     {"AA": (55, 55), "AB": (55, 34), "BA": (34, 55), "BB": (34, 34)}),
+    ({"AA": ((0, 0), (55, 0), (0, 55), (55, 55)), "AB": ((0, 0), (55, 0)), "BA": ((0, 0), (0, 55)), "BB": ((0, 0),)},
+     {"AA": (89, 89), "AB": (89, 55), "BA": (55, 89), "BB": (55, 55)}),
+    ({"AA": ((0, 0), (89, 0), (0, 89), (89, 89)), "AB": ((0, 0), (89, 0)), "BA": ((0, 0), (0, 89)), "BB": ((0, 0),)},
+     {"AA": (144, 144), "AB": (144, 89), "BA": (89, 144), "BB": (89, 89)}),
+    ({"AA": ((0, 0), (144, 0), (0, 144), (144, 144)), "AB": ((0, 0), (144, 0)), "BA": ((0, 0), (0, 144)), "BB": ((0, 0),)},
+     {"AA": (233, 233), "AB": (233, 144), "BA": (144, 233), "BB": (144, 144)}),
+    ({"AA": ((0, 0), (233, 0), (0, 233), (233, 233)), "AB": ((0, 0), (233, 0)), "BA": ((0, 0), (0, 233)), "BB": ((0, 0),)},
+     {"AA": (377, 377), "AB": (377, 233), "BA": (233, 377), "BB": (233, 233)}),
+]
+FIB2D_CHILDREN = {"AA": ("AA", "BA", "AB", "BB"), "AB": ("AA", "BA"), "BA": ("AA", "AB"), "BB": ("AA",)}
+
+
 class TestLevelSizes:
     def test_1d_lengths(self):
         rule = load_builtin("fibonacci")
         assert level_sizes(rule, 6) == {"A": (21, 1), "B": (13, 1)}
+
+    @pytest.mark.parametrize("name", ["thue_morse", "fibonacci", "fiblike", "ten_pow_n"])
+    def test_1d_width_is_tile_count(self, name):
+        # a 1D tile is one cell: no box or cell list of its own is kept
+        rule = parse_rule(builtin_text(name))
+        for n in range(8):
+            for label, size in level_sizes(rule, n).items():
+                assert size == (tile_count(rule, n, label), 1)
+                assert cell_count(rule, n, label) == tile_count(rule, n, label)
+        assert "sizes" not in rule._levels and "cells" not in rule._levels
+        assert "length" not in {f.name for f in fields(Prototile)}
+
+    def test_boxes_only_for_dims(self):
+        rule = parse_rule(builtin_text("ten_pow_n"))
+        transition_matrix(rule, 0, 300)
+        assert "sizes" not in rule._levels
+
+    def test_fib2d_unchanged(self):
+        rule = parse_rule(builtin_text("fib2d"))
+        for n, (offsets, sizes) in enumerate(FIB2D_LEVELS):
+            assert resolve_level(rule, n).supertiles == tuple(
+                ResolvedSupertile(label, tuple(
+                    ResolvedPlacement(child, 1, offset)
+                    for child, offset in zip(FIB2D_CHILDREN[label], body)
+                ))
+                for label, body in offsets.items()
+            )
+            assert level_sizes(rule, n) == sizes
+        assert "sizes" in rule._levels  # its offsets read w()/h()
 
     def test_chair_doubling(self):
         rule = load_builtin("chair")
@@ -287,6 +354,28 @@ class TestValidateRule:
         )
         diags = validate_rule(rule, 4)
         assert [d.code for d in diags] == ["bad-ispow"] and diags[0].label == "A"
+
+    def test_repeat_in_2d_rejected(self):
+        cell = ((0, 0),)
+        rule = FusionRule(
+            "r", 2,
+            (Prototile("P", cells=cell), Prototile("Q", cells=cell)),
+            (
+                SupertileDef("P", (Placement("P", Lit(2), (Lit(0), Lit(0))), Placement("Q", Lit(1), (Lit(1), Lit(0))))),
+                SupertileDef("Q", (Placement("Q", offset=(Lit(0), Lit(0))),)),
+            ),
+        )
+        diags = validate_rule(rule, 4)
+        assert [d.code for d in diags] == ["repeat-in-2d"] and diags[0].label == "P"
+
+    def test_no_offset_in_2d_rejected(self):
+        rule = FusionRule(
+            "r", 2,
+            (Prototile("P", cells=((0, 0),)),),
+            (SupertileDef("P", (Placement("P", offset=(Lit(0), Lit(0))), Placement("P"))),),
+        )
+        diags = validate_rule(rule, 4)
+        assert [d.code for d in diags] == ["no-offset-in-2d"] and diags[0].label == "P"
 
     def test_offset_in_1d_rejected(self):
         rule = FusionRule(

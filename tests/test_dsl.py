@@ -150,6 +150,14 @@ class TestParseErrors:
         assert (d.span.line, d.span.column) == (1, 12)
         assert "unexpected character" in d.message
 
+    def test_repeat_in_2d_rejected(self):
+        text = "rule r dim 2\nprototile P\nprototile Q\nlevel default:\n  P = P^(2)@(0,0) Q@(1,0)\n  Q = Q\n"
+        with pytest.raises(ParseError) as exc:
+            parse_rule_text(text)
+        (d,) = exc.value.diagnostics
+        assert (d.span.line, d.span.column) == (5, 8)
+        assert d.message == "repeats are only available in dimension 1"
+
     def test_validation_errors_propagate(self):
         with pytest.raises(ValidationError) as ei:
             parse_rule("rule r dim 1 prototile A\n")

@@ -167,7 +167,7 @@ def reference_tiles(rule, level, label):
         cells = [(x + cx, y + cy) for (x, y), lab in child for cx, cy in rule.prototile(lab).cells]
         dx = p.offset[0] - min(x for x, _ in cells)
         dy = p.offset[1] - min(y for _, y in cells)
-        tiles += [((x + dx, y + dy), lab) for (x, y), lab in child] * p.repeat
+        tiles += [((x + dx, y + dy), lab) for (x, y), lab in child]
     return tiles
 
 
@@ -214,6 +214,10 @@ class TestPatchConstruction:
     def test_from_cells_normalizes(self):
         patch = CellPatch.from_cells({(5, 7): "X", (6, 7): "Y"})
         assert patch.cells == (((0, 0), "X"), ((1, 0), "Y"))
+
+    def test_2d_patch_needs_tiles(self):
+        with pytest.raises(ValueError):
+            CellPatch(2, cells=(((0, 0), "X"), ((1, 0), "Y")))
 
     def test_from_cells_rejects_disconnected(self):
         with pytest.raises(DisconnectedError) as exc:
