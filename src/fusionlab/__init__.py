@@ -68,7 +68,6 @@ from .errors import (
 from .expand import (
     AdmissibilityResult,
     CellPatch,
-    ExpansionBudget,
     cell_count,
     expand_supertile,
     is_admissible,
@@ -102,7 +101,7 @@ __all__ = [
     "BUILTIN_RULES", "builtin_names", "builtin_text", "load_builtin",
     "TransitionMatrix", "VolumeVector", "compose", "step_matrix",
     "transition_matrix", "volumes",
-    "AdmissibilityResult", "CellPatch", "ExpansionBudget", "cell_count",
+    "AdmissibilityResult", "CellPatch", "cell_count",
     "expand_supertile", "is_admissible", "label_chars", "parse_word",
     "prefix_suffix", "render_svg", "render_text", "tile_census", "tile_count",
     "word_string",

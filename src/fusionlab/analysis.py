@@ -22,7 +22,6 @@ from .core import FusionRule, resolve_level
 from .errors import InvalidRangeError
 from .expand import (
     CellPatch,
-    ExpansionBudget,
     _word_rows,
     cell_count,
     expand_supertile,
@@ -126,7 +125,7 @@ def van_hove_diagnostic(
     rule: FusionRule,
     depth: int,
     r: int = 1,
-    budget: Optional[ExpansionBudget] = None,
+    max_cells: Optional[int] = None,
     threshold: Fraction = Fraction(1, 2),
 ) -> VanHoveReport:
     """Boundary-to-volume ratios for levels 1..depth.
@@ -148,7 +147,7 @@ def van_hove_diagnostic(
             if rule.dimension == 1:
                 ratio = Fraction(2 * r, cell_count(rule, lv, label))
             else:
-                patch = expand_supertile(rule, lv, label, budget)
+                patch = expand_supertile(rule, lv, label, max_cells)
                 cells = {c for c, _ in patch.cells}
                 ratio = Fraction(_boundary_band_2d(cells, r), len(cells))
             if best is None or ratio > best:
@@ -311,12 +310,12 @@ def patch_count_2d(
     patch: CellPatch,
     level: int,
     label: str,
-    budget: Optional[ExpansionBudget] = None,
+    max_cells: Optional[int] = None,
 ) -> int:
     """Translated occurrences of the patch in the expanded supertile."""
     if rule.dimension != 2 or patch.dimension != 2:
         raise ValueError("patch_count_2d is for 2D rules and patches")
-    expansion = expand_supertile(rule, level, label, budget)
+    expansion = expand_supertile(rule, level, label, max_cells)
     return len(occurrences_2d(patch, expansion))
 
 
@@ -343,18 +342,18 @@ def patch_frequency_estimate(
     patch: Union[str, tuple[str, ...], CellPatch],
     n: int,
     N: int,
-    budget: Optional[ExpansionBudget] = None,
+    max_cells: Optional[int] = None,
 ) -> FrequencyInterval:
     """Range of the per-volume patch frequency over the hull at (n, N).
 
     lo/hi are the min/max over hull vertices rho of
     sum_i count(patch, P_n(i)) * rho_i; exact rationals. A word is counted
-    for every label in one pass, without expanding; budget caps the
+    for every label in one pass, without expanding; max_cells caps the
     expansions that count a 2D patch.
     """
     labels_n = resolve_level(rule, n).labels
     if isinstance(patch, CellPatch) and patch.dimension == 2:
-        counts = [patch_count_2d(rule, patch, n, lab, budget) for lab in labels_n]
+        counts = [patch_count_2d(rule, patch, n, lab, max_cells) for lab in labels_n]
         description = f"patch[{patch.cell_count()} cells]"
     else:
         word = patch if isinstance(patch, (str, tuple)) else tuple(patch.labels)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import analysis, dsl, expand, transition
 from .builtins import BUILTIN_RULES, builtin_names, builtin_text, load_builtin
-from .core import FusionRule, resolve_level, validate_rule
+from .core import FusionRule, resolve_level
 from .dsl import _frac_str
 from .errors import FusionError, ParseError, ValidationError
 
@@ -102,10 +102,6 @@ def _load_rule(args) -> FusionRule:
     )
 
 
-def _budget(args) -> Optional[expand.ExpansionBudget]:
-    return None if args.max_cells is None else expand.ExpansionBudget(args.max_cells)
-
-
 def _positive_int(text: str) -> int:
     """argparse type: an int of at least 1, with int's own message otherwise."""
     try:
@@ -145,11 +141,10 @@ def _cmd_expand(args):
     rule = _load_rule(args)
     level = args.level
     labels = [args.supertile] if args.supertile else list(resolve_level(rule, level).labels)
-    budget = _budget(args)
     entries = []
     texts = []
     for lab in labels:
-        patch = expand.expand_supertile(rule, level, lab, budget)
+        patch = expand.expand_supertile(rule, level, lab, args.max_cells)
         text = expand.render_text(patch, rule)
         entries.append(
             {
@@ -217,7 +212,7 @@ def _cmd_primitivity(args):
 
 def _cmd_vanhove(args):
     rule = _load_rule(args)
-    rep = analysis.van_hove_diagnostic(rule, args.depth, args.radius, _budget(args))
+    rep = analysis.van_hove_diagnostic(rule, args.depth, args.radius, args.max_cells)
     result = {
         "depth": str(rep.depth),
         "r": str(rep.r),
@@ -284,7 +279,7 @@ def _cmd_freq(args):
 def _patch_argument(rule, args) -> expand.CellPatch:
     """2D patch from --patch LABEL at --patch-level L (default 0)."""
     level = args.patch_level if args.patch_level is not None else 0
-    return expand.expand_supertile(rule, level, args.patch, _budget(args))
+    return expand.expand_supertile(rule, level, args.patch, args.max_cells)
 
 
 def _cmd_patchfreq(args):
@@ -297,7 +292,7 @@ def _cmd_patchfreq(args):
         description = f"{args.patch}@{args.patch_level or 0}"
     else:
         raise _UsageError("patchfreq needs --word (1D) or --patch (2D)")
-    iv = analysis.patch_frequency_estimate(rule, patch, args.level, args.horizon, _budget(args))
+    iv = analysis.patch_frequency_estimate(rule, patch, args.level, args.horizon, args.max_cells)
     result = {
         "description": description,
         "level": str(iv.level),
@@ -327,7 +322,7 @@ def _cmd_admissible(args):
         description = f"{args.patch}@{args.patch_level or 0}"
     else:
         raise _UsageError("admissible needs --word (1D) or --patch (2D)")
-    res = expand.is_admissible(rule, needle, args.max_level, _budget(args))
+    res = expand.is_admissible(rule, needle, args.max_level, args.max_cells)
     result = {
         "description": description,
         "max_level": str(args.max_level),
@@ -346,7 +341,7 @@ def _cmd_admissible(args):
 
 def _cmd_render(args):
     rule = _load_rule(args)
-    patch = expand.expand_supertile(rule, args.level, args.supertile, _budget(args))
+    patch = expand.expand_supertile(rule, args.level, args.supertile, args.max_cells)
     out = args.out or "txt"
     if out == "svg" or (out not in ("svg", "txt") and out.lower().endswith(".svg")):
         fmt = "svg"

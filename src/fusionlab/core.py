@@ -201,9 +201,9 @@ class Prototile:
     """A level-0 tile.
 
     In dimension 1 every tile is one cell, so a supertile's length is its
-    tile count, and cells stays None. In dimension 2 the shape is a
-    polyomino given as cells sorted by (x, y), anchored at min x = min y = 0;
-    None means the single cell (0, 0).
+    tile count, and cells stays None. In dimension 2 the prototile is its
+    cells, a polyomino sorted by (x, y) and anchored at min x = min y = 0;
+    validate_rule rejects a 2D prototile whose cells are None or empty.
     volume defaults to 1 in 1D and to the cell count in 2D.
     """
 
@@ -212,9 +212,7 @@ class Prototile:
     cells: Optional[tuple[tuple[int, int], ...]] = None
 
     def size(self) -> tuple[int, int]:
-        """Bounding-box (width, height) in cells."""
-        if self.cells is None:
-            return (1, 1)
+        """Bounding-box (width, height) of a 2D prototile's cells."""
         xs = [c[0] for c in self.cells]
         ys = [c[1] for c in self.cells]
         return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
@@ -395,7 +393,7 @@ def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:
 
 # The level-0 weight of each list of per-label totals on the rule, in one
 # table, so a key always sums the same weight.
-_WEIGHTS = {"tiles": lambda p: 1, "cells": lambda p: len(p.cells or ((0, 0),)), "volume": lambda p: p.volume}
+_WEIGHTS = {"tiles": lambda p: 1, "cells": lambda p: len(p.cells), "volume": lambda p: p.volume}
 
 
 def _weighted_sums(rule: FusionRule, n: int, key: str) -> dict[str, Any]:
@@ -490,15 +488,14 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
             if p.cells is not None:
                 out.append(Diagnostic("bad-shape", f"1D prototile {p.name!r} must not declare cells"))
         else:
-            cells = p.cells if p.cells is not None else ((0, 0),)
-            if not cells:
+            if not p.cells:
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} has no cells"))
                 continue
-            if len(set(cells)) != len(cells):
+            if len(set(p.cells)) != len(p.cells):
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} repeats a cell"))
-            elif len(_component_sizes(cells)) > 1:
+            elif len(_component_sizes(p.cells)) > 1:
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} is not edge-connected"))
-            if min(x for x, _ in cells) != 0 or min(y for _, y in cells) != 0:
+            if min(x for x, _ in p.cells) != 0 or min(y for _, y in p.cells) != 0:
                 out.append(Diagnostic("bad-shape", f"cells of prototile {p.name!r} are not anchored at min x = min y = 0"))
 
     for d in rule.definitions:

@@ -152,10 +152,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], dimension_hint: int = 1):
+    def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
-        self.dimension = dimension_hint
+        self.dimension = 1
 
     def peek(self, k: int = 0) -> _Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]

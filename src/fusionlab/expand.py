@@ -5,11 +5,11 @@ most once (tiles meet only along edges) and must be edge-connected. Sizes
 are predicted from counts before anything is allocated, so asking for an
 astronomically large supertile fails fast instead of exhausting memory.
 
-A 2D patch is stored two ways at once: as placed tiles (anchor position +
-label, the faithful notion for counting occurrences) and as the derived
-cell->label map (useful for rendering and boundary geometry). 1D patches
-are plain label sequences; words are counted and searched for without
-expanding anything (see _word_rows).
+A 2D patch is its placed tiles (anchor position + label, the faithful
+notion for counting occurrences) together with the cells those tiles
+paint, which are derived once, when the patch is built, for rendering and
+boundary geometry. 1D patches are plain label sequences; words are counted
+and searched for without expanding anything (see _word_rows).
 """
 
 from __future__ import annotations
@@ -29,15 +29,6 @@ from .errors import (
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ExpansionBudget:
-    """Cap on the number of cells an expansion may touch."""
-
-    max_cells: int = 10**7
-
-
-DEFAULT_BUDGET = ExpansionBudget()
-
 # Characters assigned to labels, in declaration order, when prototile names
 # are not single characters themselves.
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
@@ -54,11 +45,11 @@ _PALETTE = (
 class CellPatch:
     """A finite patch: 1D label sequence or 2D placed tiles.
 
-    A 1D patch is its labels, one cell each. A 2D patch is its tiles: the
-    placed prototiles as (anchor, label) pairs, anchored at min x = min y =
-    0, and a 2D patch without tiles raises ValueError. cells is the
-    per-cell label map derived from the tiles, for rendering and boundary
-    geometry. Patches built directly from unit cells get one tile per cell.
+    A 1D patch is its labels, one cell each. A 2D patch is its tiles, the
+    placed prototiles as (anchor, label) pairs anchored at min x = min y =
+    0, and its cells, the (cell, label) pairs they paint, in no set order;
+    a 2D patch without either raises ValueError. Patches built directly
+    from unit cells get one tile per cell, with tiles and cells sorted.
     """
 
     dimension: int
@@ -67,8 +58,8 @@ class CellPatch:
     tiles: Optional[tuple[tuple[Cell, str], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.dimension == 2 and self.tiles is None:
-            raise ValueError("a 2D patch needs its tiles")
+        if self.dimension == 2 and (self.tiles is None or self.cells is None):
+            raise ValueError("a 2D patch needs its tiles and cells")
 
     @staticmethod
     def from_word(labels) -> "CellPatch":
@@ -91,14 +82,15 @@ class CellPatch:
 
     @staticmethod
     def from_tiles(rule: FusionRule, tiles) -> "CellPatch":
-        """2D patch from placed prototiles (anchor, label); overlap-checked,
-        connectivity-checked, anchor-normalized."""
+        """2D patch from placed prototiles (anchor, label); overlap- and
+        connectivity-checked, copied only to move the smallest anchor to 0."""
         tiles = tuple(tiles)
         if not tiles:
             raise ValueError("empty patch")
         minx = min(x for (x, _), _ in tiles)
         miny = min(y for (_, y), _ in tiles)
-        tiles = tuple(((x - minx, y - miny), lab) for (x, y), lab in tiles)
+        if minx or miny:
+            tiles = tuple(((x - minx, y - miny), lab) for (x, y), lab in tiles)
         cells = _paint_cells(rule, tiles)
         _check_connected(c for c, _ in cells)
         return CellPatch(2, cells=cells, tiles=tiles)
@@ -121,18 +113,19 @@ class CellPatch:
 
 
 def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
-    """Cell map of placed tiles; OverlapError names the two tile indices
-    that claim the same cell."""
+    """(cell, label) pairs of placed tiles, in tile order then shape order;
+    OverlapError names the two tile indices that claim the same cell."""
+    shapes = {p.name: p.cells for p in rule.prototiles}
     seen: dict[Cell, int] = {}
     out = []
     for idx, ((ax, ay), lab) in enumerate(tiles):
-        for cx, cy in rule.prototile(lab).cells or ((0, 0),):
+        for cx, cy in shapes[lab]:
             cell = (ax + cx, ay + cy)
             if cell in seen:
                 raise OverlapError(seen[cell], idx, cell)
             seen[cell] = idx
             out.append((cell, lab))
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def _check_connected(cells: Iterable[Cell]) -> None:
@@ -156,7 +149,7 @@ def expand_supertile(
     rule: FusionRule,
     level: int,
     label: str,
-    budget: Optional[ExpansionBudget] = None,
+    max_cells: Optional[int] = None,
 ) -> CellPatch:
     """Fully expand one supertile into a concrete patch.
 
@@ -165,12 +158,16 @@ def expand_supertile(
     call holds two levels and no level costs a stack frame. A 2D child is
     translated by its offset minus the body's smallest offset on each axis,
     so every supertile is anchored at its bounding-box min corner, the box
-    that level_sizes and w()/h() measure.
+    that level_sizes and w()/h() measure; from_tiles therefore keeps the
+    top level's tiles as they are. max_cells (default 10^7) caps the cells.
     """
-    budget = budget or DEFAULT_BUDGET
+    if max_cells is None:
+        max_cells = 10**7
+    elif max_cells < 1:
+        raise ValueError(f"max_cells must be >= 1, got {max_cells}")
     predicted = cell_count(rule, level, label)
-    if predicted > budget.max_cells:
-        raise ExpansionTooLargeError(predicted, budget.max_cells)
+    if predicted > max_cells:
+        raise ExpansionTooLargeError(predicted, max_cells)
 
     needed = [{label}]  # labels per level, from the top down
     for k in range(level, 0, -1):
@@ -399,13 +396,13 @@ def is_admissible(
     rule: FusionRule,
     patch: Union[CellPatch, str],
     max_level: int,
-    budget: Optional[ExpansionBudget] = None,
+    max_cells: Optional[int] = None,
 ) -> AdmissibilityResult:
     """Search the supertiles, level by level and in label order, for the patch.
 
     A 1D word is found from the word counts of one bottom-up pass, never by
     expanding, and its position is the first occurrence (as str.find). A 2D
-    patch is matched against each supertile's expansion, within budget. A
+    patch is matched against each supertile's expansion, within max_cells. A
     miss only means "not found up to max_level"; it is not a proof of
     inadmissibility.
     """
@@ -423,7 +420,7 @@ def is_admissible(
         return AdmissibilityResult(False, searched_levels=max_level + 1)
     for level in range(0, max_level + 1):
         for label in resolve_level(rule, level).labels:
-            hits = occurrences_2d(patch, expand_supertile(rule, level, label, budget))
+            hits = occurrences_2d(patch, expand_supertile(rule, level, label, max_cells))
             if hits:
                 return AdmissibilityResult(True, level, label, hits[0], level + 1)
     return AdmissibilityResult(False, searched_levels=max_level + 1)

@@ -14,6 +14,9 @@ import pathlib
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+# import the package from this checkout's src/, installed or not
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
 from fusionlab import cli
 
 GOLDEN = {

@@ -333,6 +333,15 @@ class TestValidateRule:
         )
         assert "bad-shape" in [d.code for d in validate_rule(rule, 1)]
 
+    def test_2d_prototile_without_cells(self):
+        rule = FusionRule(
+            "r", 2,
+            (Prototile("P"),),
+            (SupertileDef("P", (Placement("P", offset=(Lit(0), Lit(0))),)),),
+        )
+        diags = validate_rule(rule, 1)
+        assert [d.code for d in diags] == ["bad-shape"] and "has no cells" in diags[0].message
+
     def test_unanchored_prototile(self):
         rule = FusionRule(
             "r", 2,

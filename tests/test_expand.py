@@ -10,7 +10,6 @@ from fusionlab.dsl import parse_rule
 from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError
 from fusionlab.expand import (
     CellPatch,
-    ExpansionBudget,
     cell_count,
     expand_supertile,
     is_admissible,
@@ -83,8 +82,13 @@ class TestCounts:
     def test_budget_enforced(self):
         tm = load_builtin("thue_morse")
         with pytest.raises(ExpansionTooLargeError) as exc:
-            expand_supertile(tm, 4, "S1", ExpansionBudget(max_cells=10))
+            expand_supertile(tm, 4, "S1", max_cells=10)
         assert exc.value.predicted == 16 and exc.value.cap == 10
+
+    @pytest.mark.parametrize("max_cells", [0, -1])
+    def test_max_cells_below_one_rejected(self, max_cells):
+        with pytest.raises(ValueError, match="max_cells must be >= 1"):
+            expand_supertile(load_builtin("chair"), 1, "NE", max_cells=max_cells)
 
 
 class TestTwoDimensional:
@@ -127,6 +131,23 @@ class TestTwoDimensional:
             for cx, cy in chair.prototile(lab).cells:
                 painted[(ax + cx, ay + cy)] = lab
         assert painted == patch.grid()
+
+    def test_cells_painted_in_tile_order(self):
+        chair = load_builtin("chair")
+        patch = expand_supertile(chair, 3, "NE")
+        assert patch.cells == tuple(
+            ((x + cx, y + cy), lab) for (x, y), lab in patch.tiles for cx, cy in chair.prototile(lab).cells
+        )
+        # the parent's render of this supertile, row y = 15 first
+        rows = (
+            "DDCCDDCC........", "DDDCDCCC........", "ADDDCCCB........", "AADDDCBB........",
+            "DDADDDCC........", "DAAADDDC........", "AAABADDD........", "AABBAADA........",
+            "DDCCDDAAABCCDDCC", "DDDCDAAABBBCDCCC", "ADDDAAABABBBCCCB", "AADAAABBAABBBCBB",
+            "DDAAABCCDDABBBCC", "DAAABBBCDAAABBBC", "AAABABBBAAABABBB", "AABBAABBAABBAABB",
+        )
+        names = {"A": "NE", "B": "NW", "C": "SW", "D": "SE"}
+        want = sorted(((x, 15 - y), names[ch]) for y, row in enumerate(rows) for x, ch in enumerate(row) if ch != ".")
+        assert sorted(patch.cells) == want
 
 
 LEFTY = (
@@ -218,6 +239,10 @@ class TestPatchConstruction:
     def test_2d_patch_needs_tiles(self):
         with pytest.raises(ValueError):
             CellPatch(2, cells=(((0, 0), "X"), ((1, 0), "Y")))
+
+    def test_2d_patch_needs_cells(self):
+        with pytest.raises(ValueError):
+            CellPatch(2, tiles=(((0, 0), "A"),))
 
     def test_from_cells_rejects_disconnected(self):
         with pytest.raises(DisconnectedError) as exc:
