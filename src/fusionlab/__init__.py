@@ -63,6 +63,7 @@ from .errors import (
     ParseError,
     UndefinedLabelError,
     UnknownDimensionError,
+    UnknownLabelError,
     ValidationError,
 )
 from .expand import (
@@ -113,5 +114,6 @@ __all__ = [
     "DisconnectedError", "EmptyLevelError", "ExpansionTooLargeError",
     "FusionError", "InvalidRangeError", "InvalidRepeatError",
     "NegativeExponentError", "OverlapError", "ParseError",
-    "UndefinedLabelError", "UnknownDimensionError", "ValidationError",
+    "UndefinedLabelError", "UnknownDimensionError", "UnknownLabelError",
+    "ValidationError",
 ]

@@ -32,6 +32,25 @@ class UndefinedLabelError(FusionError):
         self.level = level
 
 
+class UnknownLabelError(FusionError, KeyError):
+    """A supertile label that the level does not define.
+
+    A KeyError, as the bare lookup it replaces, but one whose message names
+    the label, the level and the labels defined there.
+    """
+
+    def __init__(self, label: str, level: int, labels: tuple[str, ...]):
+        super().__init__(
+            f"no supertile {label!r} at level {level}; labels there: {', '.join(labels)}"
+        )
+        self.label = label
+        self.level = level
+        self.labels = labels
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 class InvalidRepeatError(FusionError):
     def __init__(self, label: str, level: int, value: int):
         super().__init__(

@@ -5,6 +5,14 @@ most once (tiles meet only along edges) and must be edge-connected. Sizes
 are predicted from counts before anything is allocated, so asking for an
 astronomically large supertile fails fast instead of exhausting memory.
 
+A 2D expansion is proved valid one fusion step at a time, from row runs:
+each supertile it needs is kept as the maximal x-runs of each of its rows,
+which grow with its perimeter, not its area. Children that are themselves
+valid make a valid parent when no two of their runs overlap and their
+contacts join them into one piece. Only when a proof fails is the whole
+expansion checked cell by cell, which then accepts it or raises exactly
+the error that check finds.
+
 A 2D patch is its placed tiles (anchor position + label, the faithful
 notion for counting occurrences) together with the cells those tiles
 paint, which are derived once, when the patch is built, for rendering and
@@ -14,7 +22,7 @@ and searched for without expanding anything (see _word_rows).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Union
@@ -24,9 +32,12 @@ from .errors import (
     DisconnectedError,
     ExpansionTooLargeError,
     OverlapError,
+    UnknownLabelError,
 )
 
 Cell = tuple[int, int]
+# Row runs of a set of cells: row y -> its maximal x-runs (x0, x1), sorted.
+Runs = dict[int, tuple[tuple[int, int], ...]]
 
 
 # Characters assigned to labels, in declaration order, when prototile names
@@ -82,8 +93,11 @@ class CellPatch:
 
     @staticmethod
     def from_tiles(rule: FusionRule, tiles) -> "CellPatch":
-        """2D patch from placed prototiles (anchor, label); overlap- and
-        connectivity-checked, copied only to move the smallest anchor to 0."""
+        """2D patch from placed prototiles (anchor, label), copied only to
+        move the smallest anchor to 0 and checked cell by cell: an
+        OverlapError names the first two tiles that claim one cell, then a
+        DisconnectedError gives the component sizes. expand_supertile comes
+        here only for an expansion its row runs did not prove."""
         tiles = tuple(tiles)
         if not tiles:
             raise ValueError("empty patch")
@@ -91,6 +105,7 @@ class CellPatch:
         miny = min(y for (_, y), _ in tiles)
         if minx or miny:
             tiles = tuple(((x - minx, y - miny), lab) for (x, y), lab in tiles)
+        _check_overlap(rule, tiles)
         cells = _paint_cells(rule, tiles)
         _check_connected(c for c, _ in cells)
         return CellPatch(2, cells=cells, tiles=tiles)
@@ -113,19 +128,26 @@ class CellPatch:
 
 
 def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
-    """(cell, label) pairs of placed tiles, in tile order then shape order;
-    OverlapError names the two tile indices that claim the same cell."""
+    """(cell, label) pairs of placed tiles, in tile order then shape order.
+
+    It checks nothing: from_tiles checks the tiles cell by cell first, and
+    expand_supertile paints only what its row runs proved.
+    """
+    shapes = {p.name: p.cells for p in rule.prototiles}
+    return tuple([((ax + cx, ay + cy), lab) for (ax, ay), lab in tiles for cx, cy in shapes[lab]])
+
+
+def _check_overlap(rule: FusionRule, tiles) -> None:
+    """OverlapError naming the first tile, in tile then shape order, that
+    claims a cell already claimed, the tile that claimed it and the cell."""
     shapes = {p.name: p.cells for p in rule.prototiles}
     seen: dict[Cell, int] = {}
-    out = []
     for idx, ((ax, ay), lab) in enumerate(tiles):
         for cx, cy in shapes[lab]:
             cell = (ax + cx, ay + cy)
             if cell in seen:
                 raise OverlapError(seen[cell], idx, cell)
             seen[cell] = idx
-            out.append((cell, lab))
-    return tuple(out)
 
 
 def _check_connected(cells: Iterable[Cell]) -> None:
@@ -158,13 +180,22 @@ def expand_supertile(
     call holds two levels and no level costs a stack frame. A 2D child is
     translated by its offset minus the body's smallest offset on each axis,
     so every supertile is anchored at its bounding-box min corner, the box
-    that level_sizes and w()/h() measure; from_tiles therefore keeps the
-    top level's tiles as they are. max_cells (default 10^7) caps the cells.
+    that level_sizes and w()/h() measure.
+
+    Beside its tiles, each 2D supertile carries its row runs, which prove it
+    overlap-free and edge-connected from its children's (see _join_runs).
+    A proved expansion's cells are painted once, unchecked; an unproved one
+    goes through from_tiles' cell-by-cell check, which accepts it or raises
+    OverlapError or DisconnectedError. A label the level does not define
+    raises UnknownLabelError. max_cells (default 10^7) caps the cells.
     """
     if max_cells is None:
         max_cells = 10**7
     elif max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
+    labels = resolve_level(rule, level).labels
+    if label not in labels:
+        raise UnknownLabelError(label, level, labels)
     predicted = cell_count(rule, level, label)
     if predicted > max_cells:
         raise ExpansionTooLargeError(predicted, max_cells)
@@ -177,26 +208,103 @@ def expand_supertile(
     if rule.dimension == 1:
         fuse, row = _fuse_words, {lab: (lab,) for lab in needed[0]}
     else:
-        fuse, row = _fuse_tiles, {lab: (((0, 0), lab),) for lab in needed[0]}
+        # a prototile is its cells fused as unit pieces, so its runs prove
+        # them distinct and connected; validate_rule may not have run
+        shapes = {p.name: p.cells for p in rule.prototiles}
+        fuse, row = _fuse_tiles, {
+            lab: ((((0, 0), lab),), _join_runs([(_UNIT, x, y) for x, y in shapes[lab] or ()]))
+            for lab in needed[0]
+        }
     for k in range(1, level + 1):
         res = resolve_level(rule, k)
         row = {lab: fuse(res.supertile(lab).body, row) for lab in needed[k]}
     if rule.dimension == 1:
         return CellPatch(1, labels=row[label])
-    return CellPatch.from_tiles(rule, row[label])
+    tiles, runs = row[label]
+    if runs is None:
+        return CellPatch.from_tiles(rule, tiles)
+    return CellPatch(2, cells=_paint_cells(rule, tiles), tiles=tiles)
 
 
 def _fuse_words(body, prev) -> tuple[str, ...]:
     return tuple(chain.from_iterable(prev[p.child] * p.repeat for p in body))
 
 
-def _fuse_tiles(body, prev) -> tuple[tuple[Cell, str], ...]:
+def _fuse_tiles(body, prev) -> tuple[tuple[tuple[Cell, str], ...], Optional[Runs]]:
+    """A 2D supertile's tiles and row runs from its children's (tiles, runs);
+    the runs are None unless the children's prove it valid."""
     minx, miny = map(min, zip(*(p.offset for p in body)))
-    out = []
+    tiles, pieces = [], []
     for p in body:
         dx, dy = p.offset[0] - minx, p.offset[1] - miny
-        out.extend(((x + dx, y + dy), lab) for (x, y), lab in prev[p.child])
-    return tuple(out)
+        child_tiles, runs = prev[p.child]
+        tiles.extend(((x + dx, y + dy), lab) for (x, y), lab in child_tiles)
+        pieces.append((runs, dx, dy))
+    return tuple(tiles), _join_runs(pieces)
+
+
+# The row runs of the single cell (0, 0).
+_UNIT: Runs = {0: ((0, 0),)}
+
+
+def _join_runs(pieces) -> Optional[Runs]:
+    """Row runs of the union of pieces (runs, dx, dy), each an overlap-free,
+    edge-connected set of cells moved by (dx, dy); None if a piece's runs
+    are None, if two pieces share a cell or if they do not make one
+    edge-connected piece.
+
+    Each row's runs are sorted by x0: one overlaps the runs before it if it
+    starts at or before the end of the previous one. Two pieces touch where
+    a run starts just after the previous run ends, or where a run overlaps
+    in x a run of the row below, found by a merge of the two sorted rows.
+    A union-find over the pieces counts the classes that these contacts
+    leave. The cost grows with the pieces' runs, not with their cells.
+    """
+    rows: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for i, (runs, dx, dy) in enumerate(pieces):
+        if runs is None:
+            return None
+        for y, row in runs.items():
+            rows[y + dy].extend((x0 + dx, x1 + dx, i) for x0, x1 in row)
+    root = list(range(len(pieces)))
+    classes = len(pieces)
+
+    def union(i: int, j: int) -> None:
+        nonlocal classes
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i != j:
+            root[i] = j
+            classes -= 1
+
+    out: Runs = {}
+    below: list[tuple[int, int, int]] = []
+    for y in sorted(rows):
+        row = sorted(rows[y])
+        merged = [row[0][:2]]
+        for (_, end, i), (x0, x1, j) in zip(row, row[1:]):
+            if x0 <= end:
+                return None
+            if x0 == end + 1:
+                union(i, j)
+                merged[-1] = (merged[-1][0], x1)
+            else:
+                merged.append((x0, x1))
+        if y - 1 in out:
+            a = b = 0
+            while a < len(below) and b < len(row):
+                (a0, a1, i), (b0, b1, j) = below[a], row[b]
+                if a0 <= b1 and b0 <= a1:
+                    union(i, j)
+                if a1 < b1:
+                    a += 1
+                else:
+                    b += 1
+        out[y] = tuple(merged)
+        below = row
+    return out if classes == 1 else None
 
 
 def tile_census(patch: CellPatch) -> dict[str, int]:
@@ -404,8 +512,10 @@ def is_admissible(
     expanding, and its position is the first occurrence (as str.find). A 2D
     patch is matched against each supertile's expansion, within max_cells. A
     miss only means "not found up to max_level"; it is not a proof of
-    inadmissibility.
+    inadmissibility. max_level must be at least 0.
     """
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
     if isinstance(patch, str):
         if rule.dimension != 1:
             raise ValueError("word admissibility is for 1D rules")

@@ -200,6 +200,8 @@ class TestExitCodes:
             (["expand", "thue_morse", "--level", "2", "--max-cells", "0"], 2),
             (["expand", "thue_morse", "--level", "2", "--max-cells", "-1"], 2),
             (["render", "chair", "--level", "0", "--supertile", "NE", "--out", "svg", "--cell-size", "0"], 2),
+            (["admissible", "chair", "--patch", "NE", "--max-level", "-1"], 1),
+            (["admissible", "fibonacci", "--word", "AB", "--max-level", "-3"], 1),
         ],
     )
     def test_out_of_range_arguments_rejected(self, run_cli, argv, want):
@@ -208,6 +210,27 @@ class TestExitCodes:
         payload = json.loads(out)  # exactly one envelope
         assert payload["result"] is None and payload["diagnostics"]
         assert all("code" not in d for d in payload["diagnostics"])
+
+    def test_negative_max_level_text(self, run_cli):
+        code, out, err = run_cli(["admissible", "fibonacci", "--word", "AB", "--max-level", "-3"])
+        assert (code, out, err) == (1, "", "error: max_level must be >= 0, got -3\n")
+
+    @pytest.mark.parametrize(
+        "argv, level",
+        [
+            (["render", "chair", "--level", "3", "--supertile", "XX"], 3),
+            (["admissible", "chair", "--patch", "XX"], 0),
+            (["patchfreq", "chair", "--patch", "XX", "--level", "1", "--horizon", "2"], 0),
+        ],
+    )
+    def test_unknown_supertile_label_named(self, run_cli, argv, level):
+        message = f"no supertile 'XX' at level {level}; labels there: NE, NW, SW, SE"
+        assert run_cli(argv) == (1, "", f"error: {message}\n")
+        code, out, err = run_cli(argv + ["--json"])
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert payload["result"] is None
+        assert payload["diagnostics"] == [{"severity": "error", "message": message}]
 
     def test_one_child_rule_expands_at_level_2000(self, run_cli, tmp_path):
         path = tmp_path / "one.fusion"

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from fusionlab.builtins import builtin_names, builtin_text, load_builtin
 from fusionlab.core import FusionRule, Lit, Placement, Prototile, SupertileDef, level_sizes, resolve_level
 from fusionlab.dsl import parse_rule
-from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError
+from fusionlab import core, expand
+from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError
 from fusionlab.expand import (
     CellPatch,
     cell_count,
@@ -84,6 +85,16 @@ class TestCounts:
         with pytest.raises(ExpansionTooLargeError) as exc:
             expand_supertile(tm, 4, "S1", max_cells=10)
         assert exc.value.predicted == 16 and exc.value.cap == 10
+
+    @pytest.mark.parametrize("name, level", [("chair", 3), ("fibonacci", 0)])
+    def test_unknown_supertile_label_is_named(self, name, level):
+        rule = load_builtin(name)
+        with pytest.raises(UnknownLabelError) as exc:
+            expand_supertile(rule, level, "XX")
+        labels = resolve_level(rule, level).labels
+        assert (exc.value.label, exc.value.level, exc.value.labels) == ("XX", level, labels)
+        assert str(exc.value) == f"no supertile 'XX' at level {level}; labels there: {', '.join(labels)}"
+        assert isinstance(exc.value, KeyError)
 
     @pytest.mark.parametrize("max_cells", [0, -1])
     def test_max_cells_below_one_rejected(self, max_cells):
@@ -192,6 +203,19 @@ def reference_tiles(rule, level, label):
     return tiles
 
 
+# Shapes drawn for random prototiles: a unit cell, both dominoes and the four
+# L-trominoes, each anchored at min x = min y = 0, so rows hold several runs.
+SHAPES = (
+    ((0, 0),),
+    ((0, 0), (1, 0)),
+    ((0, 0), (0, 1)),
+    ((0, 0), (0, 1), (1, 0)),
+    ((0, 0), (1, 0), (1, 1)),
+    ((0, 0), (0, 1), (1, 1)),
+    ((0, 1), (1, 0), (1, 1)),
+)
+
+
 @st.composite
 def small_2d_rules(draw):
     names = ("P", "Q")[: draw(st.integers(min_value=1, max_value=2))]
@@ -204,7 +228,7 @@ def small_2d_rules(draw):
         ))
         for name in names
     )
-    prototiles = tuple(Prototile(name, Fraction(1), cells=((0, 0),)) for name in names)
+    prototiles = tuple(Prototile(name, Fraction(1), cells=draw(st.sampled_from(SHAPES))) for name in names)
     return FusionRule("random", 2, prototiles, definitions)
 
 
@@ -225,6 +249,73 @@ def test_expansion_matches_anchored_reference(rule, level, pick):
     assert got == want
     if isinstance(got, CellPatch):
         assert got.size() == level_sizes(rule, level)[label]
+
+
+class TestFusionStepProof:
+    def test_connected_parent_of_disconnected_child_expands(self):
+        rule = parse_rule(
+            "rule join dim 2\n"
+            "prototile P\n"
+            "level n == 1:\n"
+            "  P = P P@(2,0)\n"
+            "level default:\n"
+            "  P = P P@(1,0)\n"
+        )
+        with pytest.raises(DisconnectedError):
+            expand_supertile(rule, 1, "P")
+        patch = expand_supertile(rule, 2, "P")
+        assert render_text(patch, rule) == "PPPP"
+        assert patch.tiles == (((0, 0), "P"), ((2, 0), "P"), ((1, 0), "P"), ((3, 0), "P"))
+
+    @pytest.mark.parametrize("offset", ["(2,0)", "(0,3)", "(1,2)", "(0-1,2)", "(0,0-2)"])
+    def test_children_that_miss_by_a_cell_are_disconnected(self, offset):
+        # a gap of one column or one row, or contact at a corner only
+        rule = parse_rule(f"rule near dim 2\nprototile P cells (0,0) (0,1)\nprototile Q\nlevel default:\n  P = P Q@{offset}\n  Q = Q\n")
+        with pytest.raises(DisconnectedError) as exc:
+            expand_supertile(rule, 1, "P")
+        assert exc.value.component_sizes == (2, 1)
+
+    def test_overlap_first_at_level_2_matches_reference(self):
+        rule = parse_rule(
+            "rule late dim 2\n"
+            "prototile P cells (0,0) (1,0)\n"
+            "prototile Q\n"
+            "level default:\n"
+            "  P = P Q@(2,0)\n"
+            "  Q = Q P@(0,1)\n"
+        )
+        for label in ("P", "Q"):
+            expand_supertile(rule, 1, label)
+        with pytest.raises(OverlapError) as exc:
+            expand_supertile(rule, 2, "P")
+        with pytest.raises(OverlapError) as want:
+            CellPatch.from_tiles(rule, reference_tiles(rule, 2, "P"))
+        assert vars(exc.value) == vars(want.value) == {"first_child": 1, "second_child": 2, "cell": (2, 0)}
+
+    def test_repeated_prototile_cell_raises_at_level_0(self):
+        # built in Python, so validate_rule never saw the shape
+        rule = FusionRule(
+            "twice", 2, (Prototile("P", Fraction(2), cells=((0, 0), (0, 0))),),
+            (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))),)),),
+        )
+        with pytest.raises(OverlapError) as exc:
+            expand_supertile(rule, 0, "P")
+        assert vars(exc.value) == {"first_child": 0, "second_child": 0, "cell": (0, 0)}
+
+    def test_bundled_rules_expand_without_cell_checks(self, monkeypatch):
+        rules = {"chair": (load_builtin("chair"), 6), "fib2d": (load_builtin("fib2d"), 8)}
+
+        def fail(*args):
+            raise AssertionError("a cell-by-cell check ran")
+
+        for module, name in ((core, "_component_sizes"), (expand, "_component_sizes"),
+                             (expand, "_check_connected"), (expand, "_check_overlap")):
+            monkeypatch.setattr(module, name, fail)
+        for rule, top in rules.values():
+            for level in range(top + 1):
+                for label in resolve_level(rule, level).labels:
+                    patch = expand_supertile(rule, level, label)
+                    assert patch.cell_count() == cell_count(rule, level, label)
 
 
 class TestPatchConstruction:
@@ -402,6 +493,14 @@ class TestAdmissibility:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             is_admissible(load_builtin("chair"), "AA", 2)
+
+    @pytest.mark.parametrize("name, needle, max_level", [("chair", "NE", -1), ("fibonacci", "AB", -3)])
+    def test_negative_max_level_rejected(self, name, needle, max_level):
+        rule = load_builtin(name)
+        if rule.dimension == 2:
+            needle = expand_supertile(rule, 0, needle)
+        with pytest.raises(ValueError, match=f"max_level must be >= 0, got {max_level}"):
+            is_admissible(rule, needle, max_level)
 
 
 class TestOccurrences2D:
