@@ -9,6 +9,12 @@ The frequency hull at (n, N) is the set of volume-normalized columns of
 M_{n,N}: every achievable level-n frequency vector, as seen from horizon N,
 is a convex combination of these vertices. A hull shrinking to a point is
 evidence (never proof, at finite depth) of a unique frequency measure.
+
+A 2D van Hove ratio is read from the supertile's row runs, which one
+bottom-up pass proves from the children's runs, so its cost grows with
+the boundary and not with the area; only a supertile whose runs are not
+proved is expanded. 1D word counts likewise come from one pass over the
+children's ends, never from an expansion.
 """
 
 from __future__ import annotations
@@ -16,12 +22,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Optional, Union
 
 from .core import FusionRule, resolve_level
 from .errors import InvalidRangeError
 from .expand import (
+    _UNIT,
     CellPatch,
+    Runs,
+    _cap,
+    _join_runs,
+    _run_rows,
     _word_rows,
     cell_count,
     expand_supertile,
@@ -87,38 +99,60 @@ class VanHoveReport:
     verdict: str  # "consistent with van Hove" | "inconclusive"
 
 
-def _boundary_band_2d(cells: set[tuple[int, int]], r: int) -> int:
-    """Cells within graph distance r of the patch boundary, on both sides:
-    patch cells within r of the complement plus complement cells within r
-    of the patch."""
-    neighbors = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    # complement cells adjacent to the patch are at distance 1 from it;
-    # patch cells adjacent to the complement are at distance 1 from it
-    inside_frontier = set()
-    outside_frontier = set()
-    for (x, y) in cells:
-        for dx, dy in neighbors:
-            c = (x + dx, y + dy)
-            if c not in cells:
-                inside_frontier.add((x, y))
-                outside_frontier.add(c)
-    count = 0
-    for frontier, member in ((inside_frontier, True), (outside_frontier, False)):
-        seen = set(frontier)
-        layer = frontier
-        count += len(frontier)
-        for _ in range(r - 1):
-            nxt = set()
-            for (x, y) in layer:
-                for dx, dy in neighbors:
-                    c = (x + dx, y + dy)
-                    if c in seen or (c in cells) != member:
-                        continue
-                    nxt.add(c)
-            seen |= nxt
-            count += len(nxt)
-            layer = nxt
-    return count
+def _boundary_band_2d(runs: Runs, r: int) -> int:
+    """Cells within graph distance r of the boundary of a cell set, on both
+    sides, from its row runs (row y -> its maximal x-runs, sorted): the
+    set's cells within r of the complement plus the complement's cells
+    within r of the set.
+
+    A shortest lattice path from a cell to the nearest cell on the other
+    side stays on its own side, so graph distance is L1 distance and the
+    band is |dilate_r| - |erode_r| under the L1 ball of radius r. Row y of
+    the dilation is the union over |dy| <= r of row y+dy's runs widened by
+    r-|dy| on each side. A cell is in the erosion when its whole ball is in
+    the set; as the runs are maximal, row y of the erosion is the
+    intersection over |dy| <= r of row y+dy's runs narrowed by r-|dy|. The
+    cost grows with the runs times r, not with the cells.
+    """
+    reach = [(dy, r - abs(dy)) for dy in range(-r, r + 1)]
+    grown = 0
+    for y in range(min(runs) - r, max(runs) + r + 1):
+        end = None
+        for x0, x1 in sorted([(x0 - s, x1 + s) for dy, s in reach for x0, x1 in runs.get(y + dy, ())]):
+            if end is None or x0 > end:
+                grown += x1 - x0 + 1
+                end = x1
+            elif x1 > end:
+                grown += x1 - end
+                end = x1
+    kept = 0
+    for y, row in runs.items():
+        inner = _narrow(row, r)
+        for dy, s in reach:
+            if dy and inner:
+                inner = _intersect(inner, _narrow(runs.get(y + dy, ()), s))
+        kept += sum(x1 - x0 + 1 for x0, x1 in inner)
+    return grown - kept
+
+
+def _narrow(row, s: int) -> list[tuple[int, int]]:
+    """The runs of a row narrowed by s on each side; runs that vanish go."""
+    return [(x0 + s, x1 - s) for x0, x1 in row if x1 - x0 >= 2 * s]
+
+
+def _intersect(a, b) -> list[tuple[int, int]]:
+    """The intersection of two sorted lists of disjoint closed intervals."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 def van_hove_diagnostic(
@@ -130,26 +164,38 @@ def van_hove_diagnostic(
 ) -> VanHoveReport:
     """Boundary-to-volume ratios for levels 1..depth.
 
-    1D: 2r / length. 2D: the two-sided r-band around the patch boundary
-    divided by the cell count, measured on the expanded supertile. Each
-    level reports the worst (largest) supertile ratio. depth and r must be
-    at least 1.
+    1D: 2r / length. 2D: the two-sided r-band around the supertile's
+    boundary divided by its cell count. The band is read from the row runs
+    of one bottom-up pass (expand._run_rows), so a supertile whose children
+    prove it valid is never expanded, at any size. Only a supertile the
+    runs do not prove is expanded, within max_cells: that raises the error
+    expand_supertile finds, or gives the cells whose runs are measured.
+    Each level reports the worst (largest) supertile ratio. depth and r
+    must be at least 1.
     """
     if depth < 1 or r < 1:
         raise ValueError(f"depth and r must be >= 1, got depth {depth} and r {r}")
     levels = tuple(range(1, depth + 1))
+    if rule.dimension == 2:
+        _cap(max_cells)  # rejects a cap below 1, as an expansion would
+        run_rows = islice(_run_rows(rule, depth), 1, None)
+    else:
+        run_rows = repeat(None)
     ratios = []
     max_labels = []
-    for lv in levels:
+    for lv, level_runs in zip(levels, run_rows):
         best: Optional[Fraction] = None
         best_label = ""
         for label in resolve_level(rule, lv).labels:
             if rule.dimension == 1:
-                ratio = Fraction(2 * r, cell_count(rule, lv, label))
+                band = 2 * r
             else:
-                patch = expand_supertile(rule, lv, label, max_cells)
-                cells = {c for c, _ in patch.cells}
-                ratio = Fraction(_boundary_band_2d(cells, r), len(cells))
+                runs = level_runs[label]
+                if runs is None:
+                    patch = expand_supertile(rule, lv, label, max_cells)
+                    runs = _join_runs([(_UNIT, x, y) for (x, y), _ in patch.cells])
+                band = _boundary_band_2d(runs, r)
+            ratio = Fraction(band, cell_count(rule, lv, label))
             if best is None or ratio > best:
                 best = ratio
                 best_label = label
@@ -376,9 +422,12 @@ def patch_universality(
     """Smallest level at which every supertile contains the word, if any.
 
     One bottom-up pass of word counts (see word_count); nothing is expanded.
+    max_level must be at least 0.
     """
     if rule.dimension != 1:
         raise ValueError("patch_universality is for 1D rules")
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
     for N, row in enumerate(_word_rows(rule, word, max_level)):
         if all(count for count, _ in row.values()):
             return N

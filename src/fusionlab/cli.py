@@ -384,6 +384,7 @@ def _cmd_examples(args):
 
 _CELLS_HELP = "cap on the cells of one supertile expansion (default 10^7)"
 _PATCH_CELLS_HELP = _CELLS_HELP + "; applies to --patch only, a --word is never expanded"
+_VANHOVE_CELLS_HELP = _CELLS_HELP + "; applies only to supertiles that the row runs cannot prove valid"
 
 
 def _add_rule_arguments(sp, cells_help: Optional[str] = None):
@@ -423,7 +424,7 @@ def build_parser() -> _ArgumentParser:
     sp.set_defaults(handler=_cmd_primitivity)
 
     sp = sub.add_parser("vanhove", help="boundary-to-volume ratios per level")
-    _add_rule_arguments(sp, _CELLS_HELP)
+    _add_rule_arguments(sp, _VANHOVE_CELLS_HELP)
     sp.add_argument("--depth", type=int, default=6)
     sp.add_argument("--radius", type=int, default=1)
     sp.set_defaults(handler=_cmd_vanhove)

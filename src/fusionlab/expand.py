@@ -11,7 +11,9 @@ which grow with its perimeter, not its area. Children that are themselves
 valid make a valid parent when no two of their runs overlap and their
 contacts join them into one piece. Only when a proof fails is the whole
 expansion checked cell by cell, which then accepts it or raises exactly
-the error that check finds.
+the error that check finds. The same proof, run over every label at every
+level without tiles (_run_rows), gives the boundary geometry that van
+Hove ratios need without expanding anything.
 
 A 2D patch is its placed tiles (anchor position + label, the faithful
 notion for counting occurrences) together with the cells those tiles
@@ -189,10 +191,7 @@ def expand_supertile(
     OverlapError or DisconnectedError. A label the level does not define
     raises UnknownLabelError. max_cells (default 10^7) caps the cells.
     """
-    if max_cells is None:
-        max_cells = 10**7
-    elif max_cells < 1:
-        raise ValueError(f"max_cells must be >= 1, got {max_cells}")
+    max_cells = _cap(max_cells)
     labels = resolve_level(rule, level).labels
     if label not in labels:
         raise UnknownLabelError(label, level, labels)
@@ -208,13 +207,8 @@ def expand_supertile(
     if rule.dimension == 1:
         fuse, row = _fuse_words, {lab: (lab,) for lab in needed[0]}
     else:
-        # a prototile is its cells fused as unit pieces, so its runs prove
-        # them distinct and connected; validate_rule may not have run
-        shapes = {p.name: p.cells for p in rule.prototiles}
-        fuse, row = _fuse_tiles, {
-            lab: ((((0, 0), lab),), _join_runs([(_UNIT, x, y) for x, y in shapes[lab] or ()]))
-            for lab in needed[0]
-        }
+        runs = _prototile_runs(rule)
+        fuse, row = _fuse_tiles, {lab: ((((0, 0), lab),), runs[lab]) for lab in needed[0]}
     for k in range(1, level + 1):
         res = resolve_level(rule, k)
         row = {lab: fuse(res.supertile(lab).body, row) for lab in needed[k]}
@@ -226,6 +220,15 @@ def expand_supertile(
     return CellPatch(2, cells=_paint_cells(rule, tiles), tiles=tiles)
 
 
+def _cap(max_cells: Optional[int]) -> int:
+    """The cell cap of an expansion: max_cells, 10^7 when it is None."""
+    if max_cells is None:
+        return 10**7
+    if max_cells < 1:
+        raise ValueError(f"max_cells must be >= 1, got {max_cells}")
+    return max_cells
+
+
 def _fuse_words(body, prev) -> tuple[str, ...]:
     return tuple(chain.from_iterable(prev[p.child] * p.repeat for p in body))
 
@@ -233,18 +236,52 @@ def _fuse_words(body, prev) -> tuple[str, ...]:
 def _fuse_tiles(body, prev) -> tuple[tuple[tuple[Cell, str], ...], Optional[Runs]]:
     """A 2D supertile's tiles and row runs from its children's (tiles, runs);
     the runs are None unless the children's prove it valid."""
-    minx, miny = map(min, zip(*(p.offset for p in body)))
     tiles, pieces = [], []
-    for p in body:
-        dx, dy = p.offset[0] - minx, p.offset[1] - miny
-        child_tiles, runs = prev[p.child]
+    for child, dx, dy in _shifts(body):
+        child_tiles, runs = prev[child]
         tiles.extend(((x + dx, y + dy), lab) for (x, y), lab in child_tiles)
         pieces.append((runs, dx, dy))
     return tuple(tiles), _join_runs(pieces)
 
 
+def _shifts(body) -> list[tuple[str, int, int]]:
+    """(child, dx, dy) per 2D placement: its offset minus the body's smallest
+    offset on each axis, so the supertile is anchored at its box corner."""
+    minx, miny = map(min, zip(*(p.offset for p in body)))
+    return [(p.child, p.offset[0] - minx, p.offset[1] - miny) for p in body]
+
+
 # The row runs of the single cell (0, 0).
 _UNIT: Runs = {0: ((0, 0),)}
+
+
+def _prototile_runs(rule: FusionRule) -> dict[str, Optional[Runs]]:
+    """Each 2D prototile's row runs, its cells fused as unit pieces, so the
+    runs prove them distinct and connected; validate_rule may not have run."""
+    return {p.name: _join_runs([(_UNIT, x, y) for x, y in p.cells or ()]) for p in rule.prototiles}
+
+
+def _run_rows(rule: FusionRule, top: int):
+    """Yield, per level 0..top, every 2D supertile's row runs, or None where
+    its children's runs do not prove it overlap-free and edge-connected.
+
+    The 2D counterpart of _word_rows: each level joins the previous level's
+    runs with _join_runs, each child moved as _fuse_tiles moves it, so the
+    runs are those of the supertile that expand_supertile would paint.
+    Nothing is expanded: a level costs its supertiles' perimeters, and a
+    call holds two levels. A child the previous level lacks counts as
+    unproved, so expand_supertile can raise what it finds there.
+    """
+    row = _prototile_runs(rule)
+    if top >= 0:
+        yield row
+    for k in range(1, top + 1):
+        prev = row
+        row = {
+            s.label: _join_runs([(prev.get(child), dx, dy) for child, dx, dy in _shifts(s.body)])
+            for s in resolve_level(rule, k).supertiles
+        }
+        yield row
 
 
 def _join_runs(pieces) -> Optional[Runs]:

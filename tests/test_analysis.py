@@ -1,9 +1,13 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_expand import outcome, small_2d_rules
 
-from fusionlab import analysis
+from fusionlab import analysis, expand
 from fusionlab.analysis import (
     ergodicity_report,
     frequency_hull,
@@ -17,7 +21,7 @@ from fusionlab.analysis import (
 from fusionlab.builtins import builtin_text, load_builtin
 from fusionlab.core import resolve_level
 from fusionlab.dsl import parse_rule
-from fusionlab.errors import InvalidRangeError
+from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, InvalidRangeError, OverlapError
 from fusionlab.expand import (
     CellPatch,
     cell_count,
@@ -128,6 +132,191 @@ class TestVanHove:
     def test_out_of_range_arguments_raise(self, name, depth, r):
         with pytest.raises(ValueError):
             van_hove_diagnostic(load_builtin(name), depth, r)
+
+    def test_chair_closed_form_past_the_cap(self):
+        # level 12 has 3 * 4^12 (about 5 * 10^7) cells, over the default cap,
+        # and no supertile is expanded
+        rep = van_hove_diagnostic(load_builtin("chair"), 12)
+        assert rep.ratios == tuple(Fraction(2 ** (k + 3) - 3, 6 * 4 ** (k - 1)) for k in range(1, 13))
+        assert rep.max_labels == ("NE",) * 12
+        assert rep.verdict == "consistent with van Hove"
+        with pytest.raises(ExpansionTooLargeError):
+            expand_supertile(load_builtin("chair"), 12, "NE")
+
+    def test_proved_supertiles_ignore_max_cells(self):
+        rule = load_builtin("chair")
+        assert van_hove_diagnostic(rule, 6, max_cells=1) == van_hove_diagnostic(rule, 6)
+        with pytest.raises(ValueError):
+            van_hove_diagnostic(rule, 6, max_cells=0)
+
+
+def _brute_band(cells, r):
+    """The two-sided r-band around a cell set by breadth-first search: set
+    cells within graph distance r of the complement, walking inside the set,
+    plus complement cells within r of the set, walking outside it."""
+    neighbors = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    inside_frontier = set()
+    outside_frontier = set()
+    for (x, y) in cells:
+        for dx, dy in neighbors:
+            c = (x + dx, y + dy)
+            if c not in cells:
+                inside_frontier.add((x, y))
+                outside_frontier.add(c)
+    count = 0
+    for frontier, member in ((inside_frontier, True), (outside_frontier, False)):
+        seen = set(frontier)
+        layer = frontier
+        count += len(frontier)
+        for _ in range(r - 1):
+            nxt = set()
+            for (x, y) in layer:
+                for dx, dy in neighbors:
+                    c = (x + dx, y + dy)
+                    if c in seen or (c in cells) != member:
+                        continue
+                    nxt.add(c)
+            seen |= nxt
+            count += len(nxt)
+            layer = nxt
+    return count
+
+
+def runs_of(cells):
+    """Maximal x-runs of each row of any cell set, connected or not."""
+    rows = {}
+    for x, y in sorted(cells, key=lambda c: (c[1], c[0])):
+        row = rows.setdefault(y, [])
+        if row and row[-1][1] == x - 1:
+            row[-1] = (row[-1][0], x)
+        else:
+            row.append((x, x))
+    return {y: tuple(row) for y, row in rows.items()}
+
+
+def brute_van_hove(rule, depth, r):
+    """Ratios and worst labels as measured on every expanded supertile."""
+    ratios, labels = [], []
+    for level in range(1, depth + 1):
+        pairs = []
+        for label in resolve_level(rule, level).labels:
+            cells = {c for c, _ in expand_supertile(rule, level, label).cells}
+            pairs.append((Fraction(_brute_band(cells, r), len(cells)), label))
+        best = max(ratio for ratio, _ in pairs)
+        ratios.append(best)
+        labels.append(next(label for ratio, label in pairs if ratio == best))
+    return tuple(ratios), tuple(labels)
+
+
+class TestBoundaryBand:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=60),
+        r=st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_search_on_any_cell_set(self, cells, r):
+        # sparse draws leave holes and several components
+        assert analysis._boundary_band_2d(runs_of(cells), r) == _brute_band(cells, r)
+
+    @pytest.mark.parametrize("name, top", [("chair", 7), ("fib2d", 9)])
+    def test_matches_search_on_bundled_supertiles(self, name, top):
+        rule = load_builtin(name)
+        for level, row in enumerate(expand._run_rows(rule, top)):
+            for label in resolve_level(rule, level).labels:
+                cells = {c for c, _ in expand_supertile(rule, level, label).cells}
+                assert row[label] == runs_of(cells)
+                if level:
+                    for r in (1, 2, 3):
+                        assert analysis._boundary_band_2d(row[label], r) == _brute_band(cells, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rule=small_2d_rules(),
+        level=st.integers(min_value=0, max_value=3),
+        pick=st.integers(min_value=0, max_value=1),
+        r=st.integers(min_value=1, max_value=3),
+    )
+    def test_random_rules_match_expansion(self, rule, level, pick, r):
+        names = rule.prototile_names()
+        label = names[pick % len(names)]
+        patch = outcome(lambda: expand_supertile(rule, level, label))
+        if isinstance(patch, CellPatch):
+            cells = {c for c, _ in patch.cells}
+            *_, row = expand._run_rows(rule, level)
+            assert row[label] in (None, runs_of(cells))
+            # the runs an unproved supertile is measured by
+            runs = expand._join_runs([(expand._UNIT, x, y) for x, y in cells])
+            assert runs == runs_of(cells)
+            assert analysis._boundary_band_2d(runs, r) == _brute_band(cells, r)
+        if level:
+            # every error, and every proof that fails, is met as expansion meets it
+            got = outcome(lambda: van_hove_diagnostic(rule, level, r))
+            want = outcome(lambda: brute_van_hove(rule, level, r))
+            assert got == want if isinstance(got, tuple) else (got.ratios, got.max_labels) == want
+
+    def gapped(self):
+        """A rule whose prototile D is two cells with a gap between them, so
+        no level's D is proved; Q fills the gap at level 1, and each later D
+        stacks two copies of the one below."""
+        rule = parse_rule(
+            "rule gapped dim 2\n"
+            "prototile D cells (0,0) (1,0)\n"
+            "prototile Q\n"
+            "level n == 1:\n"
+            "  D = D Q@(1,0)\n"
+            "  Q = Q\n"
+            "level default:\n"
+            "  D = D D@(0,h(D))\n"
+            "  Q = Q\n"
+        )
+        d, q = rule.prototiles
+        return dataclasses.replace(rule, prototiles=(dataclasses.replace(d, cells=((0, 0), (2, 0))), q))
+
+    def test_unproved_supertile_measured_on_its_expansion(self):
+        rule = self.gapped()
+        for level, row in enumerate(expand._run_rows(rule, 4)):
+            assert row["D"] is None and row["Q"] == {0: ((0, 0),)}
+        for r in (1, 2, 3):
+            rep = van_hove_diagnostic(rule, 4, r)
+            assert (rep.ratios, rep.max_labels) == brute_van_hove(rule, 4, r)
+
+    def test_max_cells_caps_the_fallback(self):
+        rule = self.gapped()
+        with pytest.raises(ExpansionTooLargeError) as exc:
+            van_hove_diagnostic(rule, 4, max_cells=11)
+        assert (exc.value.predicted, exc.value.cap) == (12, 11)
+        assert van_hove_diagnostic(rule, 3, max_cells=12).levels == (1, 2, 3)
+
+    def test_disconnected_supertile_raises_as_expansion_does(self):
+        rule = parse_rule(
+            "rule join dim 2\n"
+            "prototile P\n"
+            "level n == 1:\n"
+            "  P = P P@(2,0)\n"
+            "level default:\n"
+            "  P = P P@(1,0)\n"
+        )
+        with pytest.raises(DisconnectedError) as got:
+            van_hove_diagnostic(rule, 2)
+        with pytest.raises(DisconnectedError) as want:
+            expand_supertile(rule, 1, "P")
+        assert vars(got.value) == vars(want.value) == {"component_sizes": (1, 1)}
+
+    def test_overlap_raises_as_expansion_does(self):
+        rule = parse_rule(
+            "rule late dim 2\n"
+            "prototile P cells (0,0) (1,0)\n"
+            "prototile Q\n"
+            "level default:\n"
+            "  P = P Q@(2,0)\n"
+            "  Q = Q P@(0,1)\n"
+        )
+        assert van_hove_diagnostic(rule, 1).levels == (1,)
+        with pytest.raises(OverlapError) as got:
+            van_hove_diagnostic(rule, 2)
+        with pytest.raises(OverlapError) as want:
+            expand_supertile(rule, 2, "P")
+        assert vars(got.value) == vars(want.value)
 
 
 class TestFrequencyHull:
@@ -466,3 +655,8 @@ class TestUniversality:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             patch_universality(load_builtin("chair"), "AA", 3)
+
+    @pytest.mark.parametrize("max_level", [-1, -3])
+    def test_negative_max_level_rejected(self, max_level):
+        with pytest.raises(ValueError, match=f"max_level must be >= 0, got {max_level}"):
+            patch_universality(load_builtin("fibonacci"), "AB", max_level)

@@ -184,6 +184,22 @@ class TestExitCodes:
             code, out, _ = run_cli(argv)
             assert code == 0 and "usage" in out.lower()
 
+    def test_max_cells_help(self, run_cli):
+        for sub, want in (("vanhove", cli._VANHOVE_CELLS_HELP), ("expand", cli._CELLS_HELP), ("render", cli._CELLS_HELP)):
+            code, out, _ = run_cli([sub, "--help"])
+            assert code == 0 and " ".join(want.split()) in " ".join(out.split())
+        assert "cannot prove" in cli._VANHOVE_CELLS_HELP and "prove" not in cli._CELLS_HELP
+
+    def test_deep_van_hove_one_envelope(self, run_cli):
+        # level 12 is past the default --max-cells; its row runs prove it
+        argv = ["vanhove", "chair", "--depth", "12", "--json"]
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)  # exactly one envelope
+        assert payload["schema"] == "fusionlab/1" and payload["command"] == argv
+        assert payload["diagnostics"] == [] and len(payload["result"]["ratios"]) == 12
+        assert payload["result"]["ratios"][-1] == f"{2 ** 15 - 3}/{6 * 4 ** 11}"
+
     def test_deep_word_search_one_envelope(self, run_cli):
         argv = ["admissible", "fibonacci", "--word", "BB", "--max-level", "40", "--json"]
         code, out, err = run_cli(argv)
