@@ -11,10 +11,10 @@ is a convex combination of these vertices. A hull shrinking to a point is
 evidence (never proof, at finite depth) of a unique frequency measure.
 
 A 2D van Hove ratio is read from the supertile's row runs, which one
-bottom-up pass proves from the children's runs, so its cost grows with
-the boundary and not with the area; only a supertile whose runs are not
-proved is expanded. 1D word counts likewise come from one pass over the
-children's ends, never from an expansion.
+bottom-up pass merges from the children's runs, so its cost grows with
+the boundary and not with the area; a supertile is expanded only to name
+the tiles of an overlap. 1D word counts likewise come from one pass over
+the children's ends, never from an expansion.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Optional, Union
 
-from .core import FusionRule, resolve_level
+from .core import FusionRule, Runs, resolve_level
 from .errors import InvalidRangeError
 from .expand import (
-    _UNIT,
     CellPatch,
-    Runs,
     _cap,
-    _join_runs,
+    _check_connected,
     _run_rows,
     _word_rows,
     cell_count,
@@ -166,12 +164,12 @@ def van_hove_diagnostic(
 
     1D: 2r / length. 2D: the two-sided r-band around the supertile's
     boundary divided by its cell count. The band is read from the row runs
-    of one bottom-up pass (expand._run_rows), so a supertile whose children
-    prove it valid is never expanded, at any size. Only a supertile the
-    runs do not prove is expanded, within max_cells: that raises the error
-    expand_supertile finds, or gives the cells whose runs are measured.
-    Each level reports the worst (largest) supertile ratio. depth and r
-    must be at least 1.
+    of one bottom-up pass (expand._run_rows), so no supertile is expanded
+    to be measured, at any size. A disconnected supertile raises
+    DisconnectedError, as its expansion would. Only a supertile whose tiles
+    overlap is expanded, within max_cells, to raise the OverlapError that
+    names the tiles; max_cells caps nothing else. Each level reports the
+    worst (largest) supertile ratio. depth and r must be at least 1.
     """
     if depth < 1 or r < 1:
         raise ValueError(f"depth and r must be >= 1, got depth {depth} and r {r}")
@@ -192,8 +190,8 @@ def van_hove_diagnostic(
             else:
                 runs = level_runs[label]
                 if runs is None:
-                    patch = expand_supertile(rule, lv, label, max_cells)
-                    runs = _join_runs([(_UNIT, x, y) for (x, y), _ in patch.cells])
+                    expand_supertile(rule, lv, label, max_cells)  # raises the OverlapError
+                _check_connected(runs)
                 band = _boundary_band_2d(runs, r)
             ratio = Fraction(band, cell_count(rule, lv, label))
             if best is None or ratio > best:

@@ -384,7 +384,7 @@ def _cmd_examples(args):
 
 _CELLS_HELP = "cap on the cells of one supertile expansion (default 10^7)"
 _PATCH_CELLS_HELP = _CELLS_HELP + "; applies to --patch only, a --word is never expanded"
-_VANHOVE_CELLS_HELP = _CELLS_HELP + "; applies only to supertiles that the row runs cannot prove valid"
+_VANHOVE_CELLS_HELP = _CELLS_HELP + "; applies only to the expansion that names the tiles of an overlap"
 
 
 def _add_rule_arguments(sp, cells_help: Optional[str] = None):

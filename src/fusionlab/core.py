@@ -18,6 +18,7 @@ volumes.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -439,22 +440,88 @@ class Diagnostic:
         return f"{self.code}: {self.message}{where}"
 
 
-def _component_sizes(cells: Iterable[tuple[int, int]]) -> list[int]:
-    """Sizes of the edge-connected components of a set of cells."""
-    rest = set(cells)
-    sizes = []
-    while rest:
-        stack = [rest.pop()]
-        size = 0
-        while stack:
-            x, y = stack.pop()
-            size += 1
-            for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if c in rest:
-                    rest.remove(c)
-                    stack.append(c)
-        sizes.append(size)
-    return sizes
+# Row runs of a set of cells: row y -> its maximal x-runs (x0, x1), sorted.
+# The one 2D geometry: validate_rule reads prototile shapes from them, and
+# expand and analysis read expansions and van Hove bands.
+Runs = dict[int, tuple[tuple[int, int], ...]]
+
+# The row runs of the single cell (0, 0).
+_UNIT: Runs = {0: ((0, 0),)}
+
+
+def _join_runs(pieces) -> Optional[Runs]:
+    """Row runs of the union of pieces (runs, dx, dy), each a set of cells
+    moved by (dx, dy), connected or not; None if a piece's runs are None or
+    if two pieces share a cell.
+
+    Each row's runs are sorted by x0: one overlaps the runs before it if it
+    starts at or before the end of the previous one, and joins it if it
+    starts just after that end. The cost grows with the pieces' runs, not
+    with their cells.
+    """
+    rows: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for runs, dx, dy in pieces:
+        if runs is None:
+            return None
+        for y, row in runs.items():
+            rows[y + dy].extend((x0 + dx, x1 + dx) for x0, x1 in row)
+    out: Runs = {}
+    for y in sorted(rows):
+        row = sorted(rows[y])
+        merged = [row[0]]
+        for (_, end), (x0, x1) in zip(row, row[1:]):
+            if x0 <= end:
+                return None
+            if x0 == end + 1:
+                merged[-1] = (merged[-1][0], x1)
+            else:
+                merged.append((x0, x1))
+        out[y] = tuple(merged)
+    return out
+
+
+def _runs_of(cells: Iterable[tuple[int, int]]) -> Optional[Runs]:
+    """Row runs of a set of cells; None if a cell repeats."""
+    return _join_runs([(_UNIT, x, y) for x, y in cells])
+
+
+def _component_sizes(runs: Runs) -> list[int]:
+    """Sizes of the edge-connected components of the cells with these runs.
+
+    Runs of one row never touch, as they are maximal, so two runs are joined
+    only where they overlap in x across adjacent rows, found by a merge of
+    the two sorted rows. A union-find over the runs sums their lengths per
+    class. The cost grows with the runs, not with the cells.
+    """
+    root: list[int] = []
+    size: list[int] = []
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    start = 0
+    for y in sorted(runs):
+        below, start, row = start, len(root), runs[y]
+        for x0, x1 in row:
+            root.append(len(root))
+            size.append(x1 - x0 + 1)
+        if y - 1 in runs:
+            prev = runs[y - 1]
+            a = b = 0
+            while a < len(prev) and b < len(row):
+                (a0, a1), (b0, b1) = prev[a], row[b]
+                if a0 <= b1 and b0 <= a1:
+                    i, j = find(below + a), find(start + b)
+                    if i != j:
+                        root[i] = j
+                        size[j] += size[i]
+                if a1 < b1:
+                    a += 1
+                else:
+                    b += 1
+    return [size[i] for i in range(len(root)) if root[i] == i]
 
 
 def _ispow_bases(guard: Guard) -> list[int]:
@@ -493,7 +560,7 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
                 continue
             if len(set(p.cells)) != len(p.cells):
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} repeats a cell"))
-            elif len(_component_sizes(p.cells)) > 1:
+            elif len(_component_sizes(_runs_of(p.cells))) > 1:
                 out.append(Diagnostic("bad-shape", f"prototile {p.name!r} is not edge-connected"))
             if min(x for x, _ in p.cells) != 0 or min(y for _, y in p.cells) != 0:
                 out.append(Diagnostic("bad-shape", f"cells of prototile {p.name!r} are not anchored at min x = min y = 0"))

@@ -5,15 +5,16 @@ most once (tiles meet only along edges) and must be edge-connected. Sizes
 are predicted from counts before anything is allocated, so asking for an
 astronomically large supertile fails fast instead of exhausting memory.
 
-A 2D expansion is proved valid one fusion step at a time, from row runs:
+A 2D expansion is checked from row runs, built one fusion step at a time:
 each supertile it needs is kept as the maximal x-runs of each of its rows,
-which grow with its perimeter, not its area. Children that are themselves
-valid make a valid parent when no two of their runs overlap and their
-contacts join them into one piece. Only when a proof fails is the whole
-expansion checked cell by cell, which then accepts it or raises exactly
-the error that check finds. The same proof, run over every label at every
-level without tiles (_run_rows), gives the boundary geometry that van
-Hove ratios need without expanding anything.
+which grow with its perimeter, not its area. A parent's runs are its
+children's shifted runs merged (core._join_runs), exact for any children,
+connected or not, and None only where two children share a cell. The
+expansion's own runs then say whether it is edge-connected, and only an
+overlap is traced back cell by cell to the two tiles that cause it. The
+same runs, built for every label at every level without tiles
+(_run_rows), give the boundary geometry that van Hove ratios need
+without expanding anything.
 
 A 2D patch is its placed tiles (anchor position + label, the faithful
 notion for counting occurrences) together with the cells those tiles
@@ -24,12 +25,12 @@ and searched for without expanding anything (see _word_rows).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
-from .core import FusionRule, _component_sizes, _weighted_sums, resolve_level
+from .core import FusionRule, Runs, _component_sizes, _join_runs, _runs_of, _weighted_sums, resolve_level
 from .errors import (
     DisconnectedError,
     ExpansionTooLargeError,
@@ -38,8 +39,6 @@ from .errors import (
 )
 
 Cell = tuple[int, int]
-# Row runs of a set of cells: row y -> its maximal x-runs (x0, x1), sorted.
-Runs = dict[int, tuple[tuple[int, int], ...]]
 
 
 # Characters assigned to labels, in declaration order, when prototile names
@@ -90,27 +89,26 @@ class CellPatch:
         minx = min(x for x, _ in cells)
         miny = min(y for _, y in cells)
         norm = tuple(sorted(((x - minx, y - miny), lab) for (x, y), lab in cells.items()))
-        _check_connected(c for c, _ in norm)
+        _check_connected(_runs_of(c for c, _ in norm))
         return CellPatch(2, cells=norm, tiles=norm)
 
     @staticmethod
     def from_tiles(rule: FusionRule, tiles) -> "CellPatch":
         """2D patch from placed prototiles (anchor, label), copied only to
-        move the smallest anchor to 0 and checked cell by cell: an
-        OverlapError names the first two tiles that claim one cell, then a
-        DisconnectedError gives the component sizes. expand_supertile comes
-        here only for an expansion its row runs did not prove."""
+        move the smallest anchor to 0 and checked as an expansion is, from
+        the row runs of the prototiles they place (see _checked_patch). A
+        label the rule lacks raises UnknownLabelError."""
         tiles = tuple(tiles)
         if not tiles:
             raise ValueError("empty patch")
+        shapes = _prototile_runs(rule)
+        for lab in (lab for _, lab in tiles if lab not in shapes):
+            raise UnknownLabelError(lab, 0, tuple(shapes))
         minx = min(x for (x, _), _ in tiles)
         miny = min(y for (_, y), _ in tiles)
         if minx or miny:
             tiles = tuple(((x - minx, y - miny), lab) for (x, y), lab in tiles)
-        _check_overlap(rule, tiles)
-        cells = _paint_cells(rule, tiles)
-        _check_connected(c for c, _ in cells)
-        return CellPatch(2, cells=cells, tiles=tiles)
+        return _checked_patch(rule, tiles, _join_runs([(shapes[lab], x, y) for (x, y), lab in tiles]))
 
     def cell_count(self) -> int:
         return len(self.labels) if self.dimension == 1 else len(self.cells)
@@ -132,8 +130,8 @@ class CellPatch:
 def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
     """(cell, label) pairs of placed tiles, in tile order then shape order.
 
-    It checks nothing: from_tiles checks the tiles cell by cell first, and
-    expand_supertile paints only what its row runs proved.
+    It checks nothing: _checked_patch paints only tiles whose row runs
+    show them overlap-free and edge-connected.
     """
     shapes = {p.name: p.cells for p in rule.prototiles}
     return tuple([((ax + cx, ay + cy), lab) for (ax, ay), lab in tiles for cx, cy in shapes[lab]])
@@ -152,10 +150,22 @@ def _check_overlap(rule: FusionRule, tiles) -> None:
             seen[cell] = idx
 
 
-def _check_connected(cells: Iterable[Cell]) -> None:
-    sizes = _component_sizes(cells)
+def _check_connected(runs: Runs) -> None:
+    """DisconnectedError, with the component sizes largest first, unless
+    the cells with these row runs are edge-connected."""
+    sizes = _component_sizes(runs)
     if len(sizes) > 1:
         raise DisconnectedError(tuple(sorted(sizes, reverse=True)))
+
+
+def _checked_patch(rule: FusionRule, tiles, runs: Optional[Runs]) -> CellPatch:
+    """The 2D patch of anchored tiles whose cells have these row runs (None
+    where two tiles share a cell), painted once after an OverlapError that
+    names the first two tiles claiming one cell or a DisconnectedError."""
+    if runs is None:
+        _check_overlap(rule, tiles)
+    _check_connected(runs)
+    return CellPatch(2, cells=_paint_cells(rule, tiles), tiles=tiles)
 
 
 def tile_count(rule: FusionRule, level: int, label: str) -> int:
@@ -184,12 +194,12 @@ def expand_supertile(
     so every supertile is anchored at its bounding-box min corner, the box
     that level_sizes and w()/h() measure.
 
-    Beside its tiles, each 2D supertile carries its row runs, which prove it
-    overlap-free and edge-connected from its children's (see _join_runs).
-    A proved expansion's cells are painted once, unchecked; an unproved one
-    goes through from_tiles' cell-by-cell check, which accepts it or raises
-    OverlapError or DisconnectedError. A label the level does not define
-    raises UnknownLabelError. max_cells (default 10^7) caps the cells.
+    Beside its tiles, each 2D supertile carries its row runs, merged from
+    its children's (see core._join_runs), so the expansion is checked from
+    its runs as from_tiles checks any tiles: an overlap raises OverlapError
+    and a disconnected expansion DisconnectedError (see _checked_patch). A
+    label the level does not define raises UnknownLabelError. max_cells
+    (default 10^7) caps the cells.
     """
     max_cells = _cap(max_cells)
     labels = resolve_level(rule, level).labels
@@ -214,10 +224,7 @@ def expand_supertile(
         row = {lab: fuse(res.supertile(lab).body, row) for lab in needed[k]}
     if rule.dimension == 1:
         return CellPatch(1, labels=row[label])
-    tiles, runs = row[label]
-    if runs is None:
-        return CellPatch.from_tiles(rule, tiles)
-    return CellPatch(2, cells=_paint_cells(rule, tiles), tiles=tiles)
+    return _checked_patch(rule, *row[label])
 
 
 def _cap(max_cells: Optional[int]) -> int:
@@ -235,7 +242,7 @@ def _fuse_words(body, prev) -> tuple[str, ...]:
 
 def _fuse_tiles(body, prev) -> tuple[tuple[tuple[Cell, str], ...], Optional[Runs]]:
     """A 2D supertile's tiles and row runs from its children's (tiles, runs);
-    the runs are None unless the children's prove it valid."""
+    the runs are None where two children share a cell or a child's are None."""
     tiles, pieces = [], []
     for child, dx, dy in _shifts(body):
         child_tiles, runs = prev[child]
@@ -251,26 +258,21 @@ def _shifts(body) -> list[tuple[str, int, int]]:
     return [(p.child, p.offset[0] - minx, p.offset[1] - miny) for p in body]
 
 
-# The row runs of the single cell (0, 0).
-_UNIT: Runs = {0: ((0, 0),)}
-
-
 def _prototile_runs(rule: FusionRule) -> dict[str, Optional[Runs]]:
-    """Each 2D prototile's row runs, its cells fused as unit pieces, so the
-    runs prove them distinct and connected; validate_rule may not have run."""
-    return {p.name: _join_runs([(_UNIT, x, y) for x, y in p.cells or ()]) for p in rule.prototiles}
+    """Each 2D prototile's row runs, None if a cell repeats: validate_rule,
+    which rejects such a shape, may not have run."""
+    return {p.name: _runs_of(p.cells or ()) for p in rule.prototiles}
 
 
 def _run_rows(rule: FusionRule, top: int):
-    """Yield, per level 0..top, every 2D supertile's row runs, or None where
-    its children's runs do not prove it overlap-free and edge-connected.
+    """Yield, per level 0..top, every 2D supertile's row runs, None where
+    two of its tiles share a cell.
 
     The 2D counterpart of _word_rows: each level joins the previous level's
     runs with _join_runs, each child moved as _fuse_tiles moves it, so the
-    runs are those of the supertile that expand_supertile would paint.
-    Nothing is expanded: a level costs its supertiles' perimeters, and a
-    call holds two levels. A child the previous level lacks counts as
-    unproved, so expand_supertile can raise what it finds there.
+    runs are exactly those of the cells that expand_supertile would paint,
+    connected or not. Nothing is expanded: a level costs its supertiles'
+    perimeters, and a call holds two levels.
     """
     row = _prototile_runs(rule)
     if top >= 0:
@@ -278,70 +280,10 @@ def _run_rows(rule: FusionRule, top: int):
     for k in range(1, top + 1):
         prev = row
         row = {
-            s.label: _join_runs([(prev.get(child), dx, dy) for child, dx, dy in _shifts(s.body)])
+            s.label: _join_runs([(prev[child], dx, dy) for child, dx, dy in _shifts(s.body)])
             for s in resolve_level(rule, k).supertiles
         }
         yield row
-
-
-def _join_runs(pieces) -> Optional[Runs]:
-    """Row runs of the union of pieces (runs, dx, dy), each an overlap-free,
-    edge-connected set of cells moved by (dx, dy); None if a piece's runs
-    are None, if two pieces share a cell or if they do not make one
-    edge-connected piece.
-
-    Each row's runs are sorted by x0: one overlaps the runs before it if it
-    starts at or before the end of the previous one. Two pieces touch where
-    a run starts just after the previous run ends, or where a run overlaps
-    in x a run of the row below, found by a merge of the two sorted rows.
-    A union-find over the pieces counts the classes that these contacts
-    leave. The cost grows with the pieces' runs, not with their cells.
-    """
-    rows: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for i, (runs, dx, dy) in enumerate(pieces):
-        if runs is None:
-            return None
-        for y, row in runs.items():
-            rows[y + dy].extend((x0 + dx, x1 + dx, i) for x0, x1 in row)
-    root = list(range(len(pieces)))
-    classes = len(pieces)
-
-    def union(i: int, j: int) -> None:
-        nonlocal classes
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        while root[j] != j:
-            root[j] = j = root[root[j]]
-        if i != j:
-            root[i] = j
-            classes -= 1
-
-    out: Runs = {}
-    below: list[tuple[int, int, int]] = []
-    for y in sorted(rows):
-        row = sorted(rows[y])
-        merged = [row[0][:2]]
-        for (_, end, i), (x0, x1, j) in zip(row, row[1:]):
-            if x0 <= end:
-                return None
-            if x0 == end + 1:
-                union(i, j)
-                merged[-1] = (merged[-1][0], x1)
-            else:
-                merged.append((x0, x1))
-        if y - 1 in out:
-            a = b = 0
-            while a < len(below) and b < len(row):
-                (a0, a1, i), (b0, b1, j) = below[a], row[b]
-                if a0 <= b1 and b0 <= a1:
-                    union(i, j)
-                if a1 < b1:
-                    a += 1
-                else:
-                    b += 1
-        out[y] = tuple(merged)
-        below = row
-    return out if classes == 1 else None
 
 
 def tile_census(patch: CellPatch) -> dict[str, int]:

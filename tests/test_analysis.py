@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_expand import outcome, small_2d_rules
+from test_expand import _brute_components, outcome, random_2d_rules, reference_tiles
 
-from fusionlab import analysis, expand
+from fusionlab import analysis, core, expand
 from fusionlab.analysis import (
     ergodicity_report,
     frequency_hull,
@@ -231,7 +231,7 @@ class TestBoundaryBand:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        rule=small_2d_rules(),
+        rule=random_2d_rules,
         level=st.integers(min_value=0, max_value=3),
         pick=st.integers(min_value=0, max_value=1),
         r=st.integers(min_value=1, max_value=3),
@@ -242,22 +242,20 @@ class TestBoundaryBand:
         patch = outcome(lambda: expand_supertile(rule, level, label))
         if isinstance(patch, CellPatch):
             cells = {c for c, _ in patch.cells}
+            assert len(_brute_components(cells)) == 1
             *_, row = expand._run_rows(rule, level)
-            assert row[label] in (None, runs_of(cells))
-            # the runs an unproved supertile is measured by
-            runs = expand._join_runs([(expand._UNIT, x, y) for x, y in cells])
-            assert runs == runs_of(cells)
-            assert analysis._boundary_band_2d(runs, r) == _brute_band(cells, r)
+            assert row[label] == core._runs_of(cells) == runs_of(cells)
+            assert analysis._boundary_band_2d(row[label], r) == _brute_band(cells, r)
         if level:
-            # every error, and every proof that fails, is met as expansion meets it
+            # every error is met as expansion meets it
             got = outcome(lambda: van_hove_diagnostic(rule, level, r))
             want = outcome(lambda: brute_van_hove(rule, level, r))
             assert got == want if isinstance(got, tuple) else (got.ratios, got.max_labels) == want
 
     def gapped(self):
-        """A rule whose prototile D is two cells with a gap between them, so
-        no level's D is proved; Q fills the gap at level 1, and each later D
-        stacks two copies of the one below."""
+        """A rule built in Python whose prototile D is two cells with a gap
+        between them; Q fills the gap at level 1, and each later D stacks
+        two copies of the one below."""
         rule = parse_rule(
             "rule gapped dim 2\n"
             "prototile D cells (0,0) (1,0)\n"
@@ -272,23 +270,10 @@ class TestBoundaryBand:
         d, q = rule.prototiles
         return dataclasses.replace(rule, prototiles=(dataclasses.replace(d, cells=((0, 0), (2, 0))), q))
 
-    def test_unproved_supertile_measured_on_its_expansion(self):
-        rule = self.gapped()
-        for level, row in enumerate(expand._run_rows(rule, 4)):
-            assert row["D"] is None and row["Q"] == {0: ((0, 0),)}
-        for r in (1, 2, 3):
-            rep = van_hove_diagnostic(rule, 4, r)
-            assert (rep.ratios, rep.max_labels) == brute_van_hove(rule, 4, r)
-
-    def test_max_cells_caps_the_fallback(self):
-        rule = self.gapped()
-        with pytest.raises(ExpansionTooLargeError) as exc:
-            van_hove_diagnostic(rule, 4, max_cells=11)
-        assert (exc.value.predicted, exc.value.cap) == (12, 11)
-        assert van_hove_diagnostic(rule, 3, max_cells=12).levels == (1, 2, 3)
-
-    def test_disconnected_supertile_raises_as_expansion_does(self):
-        rule = parse_rule(
+    def join(self):
+        """A rule whose level-1 P is two cells a column apart, joined into
+        one row of four at level 2."""
+        return parse_rule(
             "rule join dim 2\n"
             "prototile P\n"
             "level n == 1:\n"
@@ -296,14 +281,10 @@ class TestBoundaryBand:
             "level default:\n"
             "  P = P P@(1,0)\n"
         )
-        with pytest.raises(DisconnectedError) as got:
-            van_hove_diagnostic(rule, 2)
-        with pytest.raises(DisconnectedError) as want:
-            expand_supertile(rule, 1, "P")
-        assert vars(got.value) == vars(want.value) == {"component_sizes": (1, 1)}
 
-    def test_overlap_raises_as_expansion_does(self):
-        rule = parse_rule(
+    def late(self):
+        """A rule whose tiles first overlap in level-2 P."""
+        return parse_rule(
             "rule late dim 2\n"
             "prototile P cells (0,0) (1,0)\n"
             "prototile Q\n"
@@ -311,6 +292,38 @@ class TestBoundaryBand:
             "  P = P Q@(2,0)\n"
             "  Q = Q P@(0,1)\n"
         )
+
+    def test_disconnected_prototile_runs_match_expansion(self):
+        rule = self.gapped()
+        for level, row in enumerate(expand._run_rows(rule, 4)):
+            for label in ("D", "Q"):
+                tiles = reference_tiles(rule, level, label)
+                cells = {(x + cx, y + cy) for (x, y), lab in tiles for cx, cy in rule.prototile(lab).cells}
+                assert row[label] == runs_of(cells)
+        for r in (1, 2, 3):
+            rep = van_hove_diagnostic(rule, 4, r)
+            assert (rep.ratios, rep.max_labels) == brute_van_hove(rule, 4, r)
+
+    def test_max_cells_caps_only_the_overlap_expansion(self):
+        assert van_hove_diagnostic(self.gapped(), 4, max_cells=1) == van_hove_diagnostic(self.gapped(), 4)
+        # level-2 P of the late rule, where its tiles overlap, has 6 cells
+        with pytest.raises(ExpansionTooLargeError) as exc:
+            van_hove_diagnostic(self.late(), 2, max_cells=5)
+        assert (exc.value.predicted, exc.value.cap) == (6, 5)
+        with pytest.raises(DisconnectedError) as exc:
+            van_hove_diagnostic(self.join(), 2, max_cells=1)
+        assert exc.value.component_sizes == (1, 1)
+
+    def test_disconnected_supertile_raises_as_expansion_does(self):
+        rule = self.join()
+        with pytest.raises(DisconnectedError) as got:
+            van_hove_diagnostic(rule, 2)
+        with pytest.raises(DisconnectedError) as want:
+            expand_supertile(rule, 1, "P")
+        assert vars(got.value) == vars(want.value) == {"component_sizes": (1, 1)}
+
+    def test_overlap_raises_as_expansion_does(self):
+        rule = self.late()
         assert van_hove_diagnostic(rule, 1).levels == (1,)
         with pytest.raises(OverlapError) as got:
             van_hove_diagnostic(rule, 2)

@@ -188,10 +188,10 @@ class TestExitCodes:
         for sub, want in (("vanhove", cli._VANHOVE_CELLS_HELP), ("expand", cli._CELLS_HELP), ("render", cli._CELLS_HELP)):
             code, out, _ = run_cli([sub, "--help"])
             assert code == 0 and " ".join(want.split()) in " ".join(out.split())
-        assert "cannot prove" in cli._VANHOVE_CELLS_HELP and "prove" not in cli._CELLS_HELP
+        assert "overlap" in cli._VANHOVE_CELLS_HELP and "overlap" not in cli._CELLS_HELP
 
     def test_deep_van_hove_one_envelope(self, run_cli):
-        # level 12 is past the default --max-cells; its row runs prove it
+        # level 12 is past the default --max-cells; it is read from row runs
         argv = ["vanhove", "chair", "--depth", "12", "--json"]
         code, out, err = run_cli(argv)
         assert code == 0 and err == ""

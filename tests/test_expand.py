@@ -1,11 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionlab.builtins import builtin_names, builtin_text, load_builtin
-from fusionlab.core import FusionRule, Lit, Placement, Prototile, SupertileDef, level_sizes, resolve_level
+from fusionlab.core import (
+    BinOp,
+    Dim,
+    FusionRule,
+    Lit,
+    Placement,
+    Prototile,
+    SupertileDef,
+    level_sizes,
+    resolve_level,
+)
 from fusionlab.dsl import parse_rule
 from fusionlab import core, expand
 from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError
@@ -232,6 +242,54 @@ def small_2d_rules(draw):
     return FusionRule("random", 2, prototiles, definitions)
 
 
+@st.composite
+def seam_2d_rules(draw):
+    """Random rules whose later children sit on the previous child's right
+    or top box edge, nudged by -1..1 along the seam, as chair and fib2d
+    place theirs with w()/h(); unlike small_2d_rules, many of them expand
+    past level 1."""
+    names = ("P", "Q")[: draw(st.integers(min_value=1, max_value=2))]
+    definitions = []
+    for name in names:
+        children = draw(st.lists(st.sampled_from(names), min_size=2, max_size=3))
+        x = y = Lit(0)
+        body = [Placement(children[0], Lit(1), (x, y))]
+        for prev, child in zip(children, children[1:]):
+            nudge = Lit(draw(st.integers(min_value=-1, max_value=1)))
+            if draw(st.booleans()):
+                x, y = BinOp("+", x, Dim("w", prev)), BinOp("+", y, nudge)
+            else:
+                x, y = BinOp("+", x, nudge), BinOp("+", y, Dim("h", prev))
+            body.append(Placement(child, Lit(1), (x, y)))
+        definitions.append(SupertileDef(name, tuple(body)))
+    prototiles = tuple(Prototile(name, Fraction(1), cells=draw(st.sampled_from(SHAPES))) for name in names)
+    return FusionRule("seams", 2, prototiles, tuple(definitions))
+
+
+# The random 2D rules the expansion, row-run and van Hove oracles draw from.
+random_2d_rules = st.one_of(small_2d_rules(), seam_2d_rules())
+
+
+def _brute_components(cells):
+    """Sizes of the edge-connected components of a cell set, by breadth-first
+    search over the cells: the reference the row-run union-find
+    (core._component_sizes) is checked against."""
+    rest = set(cells)
+    sizes = []
+    while rest:
+        frontier = [rest.pop()]
+        size = 0
+        while frontier:
+            x, y = frontier.pop()
+            size += 1
+            for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if c in rest:
+                    rest.remove(c)
+                    frontier.append(c)
+        sizes.append(size)
+    return sorted(sizes)
+
+
 def outcome(build):
     try:
         return build()
@@ -240,7 +298,7 @@ def outcome(build):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rule=small_2d_rules(), level=st.integers(min_value=0, max_value=3), pick=st.integers(min_value=0, max_value=1))
+@given(rule=random_2d_rules, level=st.integers(min_value=0, max_value=3), pick=st.integers(min_value=0, max_value=1))
 def test_expansion_matches_anchored_reference(rule, level, pick):
     names = rule.prototile_names()
     label = names[pick % len(names)]
@@ -249,6 +307,23 @@ def test_expansion_matches_anchored_reference(rule, level, pick):
     assert got == want
     if isinstance(got, CellPatch):
         assert got.size() == level_sizes(rule, level)[label]
+        assert len(_brute_components(c for c, _ in got.cells)) == 1
+
+
+class TestRowRunConnectivity:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=60))
+    # a ring around a hole, beside one far cell
+    @example(cells={(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)} | {(5, 5)})
+    def test_component_sizes_match_search(self, cells):
+        # sparse draws leave holes and several components
+        runs = core._runs_of(cells)
+        assert sorted(core._component_sizes(runs)) == _brute_components(cells)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=30), pick=st.integers(min_value=0))
+    def test_repeated_cell_has_no_runs(self, cells, pick):
+        assert core._runs_of(cells + [cells[pick % len(cells)]]) is None
 
 
 class TestFusionStepProof:
@@ -308,9 +383,10 @@ class TestFusionStepProof:
         def fail(*args):
             raise AssertionError("a cell-by-cell check ran")
 
-        for module, name in ((core, "_component_sizes"), (expand, "_component_sizes"),
-                             (expand, "_check_connected"), (expand, "_check_overlap")):
-            monkeypatch.setattr(module, name, fail)
+        # what is left that an expansion might detour through: tracing an
+        # overlap to its tiles cell by cell, and the from_tiles path
+        monkeypatch.setattr(expand, "_check_overlap", fail)
+        monkeypatch.setattr(CellPatch, "from_tiles", fail)
         for rule, top in rules.values():
             for level in range(top + 1):
                 for label in resolve_level(rule, level).labels:
@@ -348,6 +424,13 @@ class TestPatchConstruction:
         with pytest.raises(OverlapError) as exc:
             CellPatch.from_tiles(chair, (((0, 0), "NE"), ((0, 0), "SE")))
         assert exc.value.cell == (0, 0)
+
+    def test_from_tiles_rejects_unknown_label(self):
+        chair = load_builtin("chair")
+        with pytest.raises(UnknownLabelError) as exc:
+            CellPatch.from_tiles(chair, (((0, 0), "NE"), ((0, 0), "XX")))
+        assert isinstance(exc.value, KeyError)
+        assert (exc.value.label, exc.value.level, exc.value.labels) == ("XX", 0, chair.prototile_names())
 
     def test_from_tiles_accepts_meeting_edges(self):
         chair = load_builtin("chair")
