@@ -2,8 +2,9 @@
 frequency hulls, ergodicity verdicts, and patch-frequency estimation.
 
 Everything here is exact rational arithmetic on top of the transition
-matrices; floats appear only when callers pass float tolerances (compared
-against Fractions, which Python does exactly).
+matrices, which primitivity and ergodicity read horizon by horizon from
+one fold of columns; floats appear only when callers pass float
+tolerances (compared against Fractions, which Python does exactly).
 
 The frequency hull at (n, N) is the set of volume-normalized columns of
 M_{n,N}: every achievable level-n frequency vector, as seen from horizon N,
@@ -11,10 +12,10 @@ is a convex combination of these vertices. A hull shrinking to a point is
 evidence (never proof, at finite depth) of a unique frequency measure.
 
 A 2D van Hove ratio is read from the supertile's row runs, which one
-bottom-up pass merges from the children's runs, so its cost grows with
-the boundary and not with the area; a supertile is expanded only to name
-the tiles of an overlap. 1D word counts likewise come from one pass over
-the children's ends, never from an expansion.
+fold over the levels merges from the children's runs, so its cost grows
+with the boundary and not with the area; a supertile is expanded only to
+name the tiles of an overlap. 1D word counts likewise come from one fold
+over the children's ends, never from an expansion.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Optional, Union
 
-from .core import FusionRule, Runs, resolve_level
+from .core import FusionRule, Runs, _entry, resolve_level
 from .errors import InvalidRangeError
 from .expand import (
     CellPatch,
@@ -37,7 +38,7 @@ from .expand import (
     expand_supertile,
     occurrences_2d,
 )
-from .transition import TransitionMatrix, compose, step_matrix, transition_matrix, volumes
+from .transition import TransitionMatrix, _column_rows, _matrix, transition_matrix, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +68,15 @@ def primitivity_check(rule: FusionRule, n: int, max_offset: int) -> PrimitivityR
     """
     if max_offset < 1:
         raise InvalidRangeError(n, n + max_offset)
-    m = transition_matrix(rule, n, n)
-    for d in range(1, max_offset + 1):
-        m = compose(m, step_matrix(rule, n + d))
-        if m.is_positive():
+    if n < 0:
+        raise InvalidRangeError(n, n)
+    for d, cols in enumerate(_column_rows(rule, n, n + max_offset)):
+        if d and all(e > 0 for col in cols.values() for e in col):
             return PrimitivityResult(n, max_offset, d)
-    for i, row_label in enumerate(m.row_labels):
-        for j, col_label in enumerate(m.col_labels):
-            if m.entries[i][j] == 0:
-                return PrimitivityResult(
-                    n, max_offset, None, (row_label, col_label, n + max_offset)
-                )
-    raise AssertionError("unreachable: non-positive matrix with no zero entry")
+    # no positive matrix, so some count is 0: the first in row-major order
+    rows = enumerate(resolve_level(rule, n).labels)
+    zero = next((r, c) for i, r in rows for c, col in cols.items() if col[i] == 0)
+    return PrimitivityResult(n, max_offset, None, (*zero, n + max_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +294,12 @@ def ergodicity_report(
         raise InvalidRangeError(n, depth)
     horizons = tuple(range(n + 1, depth + 1))
     vol_n = volumes(rule, n).values
-    hulls = []  # (hull, a, b): one product step per horizon
-    m = transition_matrix(rule, n, n)
-    for N in horizons:
-        m = compose(m, step_matrix(rule, N))
-        hulls.append(_hull(m, vol_n, volumes(rule, N).values))
+    labels = resolve_level(rule, n).labels
+    hulls = [  # (hull, a, b) per horizon, from one fold of columns
+        _hull(_matrix(n, N, labels, cols), vol_n, volumes(rule, N).values)
+        for N, cols in enumerate(_column_rows(rule, n, depth), n)
+        if N > n
+    ]
     diameters = tuple(h.diameter for h, _, _ in hulls)
     if diameters[-1] < tol:
         verdict = "unique"
@@ -336,7 +335,7 @@ def word_count(
     prefixes and suffixes of length |word|-1 (see expand._word_rows). There
     is no budget: supertiles with 10^n children or at level 2000 stay cheap.
     """
-    return _word_counts(rule, word, level)[label]
+    return _entry(_word_counts(rule, word, level), label, level)
 
 
 def _word_counts(rule: FusionRule, word: Union[str, tuple[str, ...]], level: int) -> dict[str, int]:
@@ -346,7 +345,7 @@ def _word_counts(rule: FusionRule, word: Union[str, tuple[str, ...]], level: int
     if level < 0:
         raise ValueError("level must be >= 0")
     row = deque(_word_rows(rule, word, level), maxlen=1)[0]
-    return {label: count for label, (count, _) in row.items()}
+    return {label: count for label, (count, *_) in row.items()}
 
 
 def patch_count_2d(
@@ -427,6 +426,6 @@ def patch_universality(
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     for N, row in enumerate(_word_rows(rule, word, max_level)):
-        if all(count for count, _ in row.values()):
+        if all(count for count, *_ in row.values()):
             return N
     return None

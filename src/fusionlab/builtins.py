@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from importlib import resources
 
 from .core import FusionRule
@@ -30,6 +29,6 @@ def builtin_text(name: str) -> str:
     return (resources.files(__package__) / "rules" / f"{name}.fusion").read_text("utf-8")
 
 
-@lru_cache(maxsize=None)
 def load_builtin(name: str) -> FusionRule:
+    """A freshly parsed bundled rule; its level table is freed with it."""
     return parse_rule(builtin_text(name))

@@ -6,13 +6,14 @@ Guards are boolean predicates over the level variable n, so a single rule
 text covers every level; resolving a level evaluates the guards and all
 integer expressions (repeats, offsets) into concrete placements.
 
-Rules are immutable. What is derived from a rule level by level (its
+Rules are immutable. What is kept of a rule level by level (its
 resolutions, tile/cell counts, volumes and, for 2D rules, bounding boxes)
-lives in a private table on the rule object, as lists indexed by level. A
-list is filled by a loop up to the highest level asked for, so no level
-costs a stack frame, and the table is freed with its rule. All arithmetic
-is exact: Python integers for counts and sizes, fractions.Fraction for
-volumes.
+lives in a private table on the rule object, lists filled by one loop up
+to the highest level asked for and freed with the rule. Every other
+bottom-up pass (matrices, row runs, word counts and ends, expansions) is
+one fold, _fold_levels. Neither costs a stack frame per level. All
+arithmetic is exact: Python integers for counts and sizes,
+fractions.Fraction for volumes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     NegativeExponentError,
     UndefinedLabelError,
     UnknownDimensionError,
+    UnknownLabelError,
 )
 
 # ---------------------------------------------------------------------------
@@ -366,6 +368,25 @@ def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
         return LevelResolution(k, tuple(taken.values()))
 
     return _level_rows(rule, "resolutions", n, row)[n]
+
+
+def _fold_levels(rule: FusionRule, top: int, row: dict, fuse: Callable, bottom: int = 0, keep: Optional[list] = None):
+    """Yield row, the values of the level-`bottom` supertiles, then per level
+    k = bottom+1..top the row {label: fuse(body, level k-1 row)} over the
+    level-k supertiles, or those in keep[k]. A loop holding two levels."""
+    yield row
+    for k in range(bottom + 1, top + 1):
+        prev = row
+        supertiles = resolve_level(rule, k).supertiles
+        row = {s.label: fuse(s.body, prev) for s in supertiles if keep is None or s.label in keep[k]}
+        yield row
+
+
+def _entry(row: Mapping[str, Any], label: str, level: int) -> Any:
+    """row[label] of a level's row; UnknownLabelError if the level lacks it."""
+    if label not in row:
+        raise UnknownLabelError(label, level, tuple(row))
+    return row[label]
 
 
 def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:

@@ -5,16 +5,19 @@ most once (tiles meet only along edges) and must be edge-connected. Sizes
 are predicted from counts before anything is allocated, so asking for an
 astronomically large supertile fails fast instead of exhausting memory.
 
-A 2D expansion is checked from row runs, built one fusion step at a time:
-each supertile it needs is kept as the maximal x-runs of each of its rows,
-which grow with its perimeter, not its area. A parent's runs are its
-children's shifted runs merged (core._join_runs), exact for any children,
-connected or not, and None only where two children share a cell. The
-expansion's own runs then say whether it is edge-connected, and only an
-overlap is traced back cell by cell to the two tiles that cause it. The
-same runs, built for every label at every level without tiles
-(_run_rows), give the boundary geometry that van Hove ratios need
-without expanding anything.
+Every pass here is one fold over the levels (core._fold_levels), which
+builds each level's values from the level below, one fusion step at a
+time: an expansion, the row runs of every supertile (_run_rows), word
+counts (_word_rows) and word ends (prefix_suffix).
+
+A 2D expansion is checked from row runs: each supertile it needs is kept
+as the maximal x-runs of each of its rows, which grow with its perimeter,
+not its area. A parent's runs are its children's shifted runs merged
+(core._join_runs), exact for any children, connected or not, and None
+only where two children share a cell. The expansion's own runs then say
+whether it is edge-connected, and only an overlap is traced back cell by
+cell to the two tiles that cause it. The same runs, built for every label
+without tiles, give van Hove ratios their boundary geometry.
 
 A 2D patch is its placed tiles (anchor position + label, the faithful
 notion for counting occurrences) together with the cells those tiles
@@ -25,12 +28,12 @@ and searched for without expanding anything (see _word_rows).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Optional, Union
 
-from .core import FusionRule, Runs, _component_sizes, _join_runs, _runs_of, _weighted_sums, resolve_level
+from .core import FusionRule, Runs, _component_sizes, _entry, _fold_levels, _join_runs, _runs_of, _weighted_sums, resolve_level
 from .errors import (
     DisconnectedError,
     ExpansionTooLargeError,
@@ -170,13 +173,13 @@ def _checked_patch(rule: FusionRule, tiles, runs: Optional[Runs]) -> CellPatch:
 
 def tile_count(rule: FusionRule, level: int, label: str) -> int:
     """Number of level-0 tiles in the supertile, without expanding."""
-    return _weighted_sums(rule, level, "tiles")[label]
+    return _entry(_weighted_sums(rule, level, "tiles"), label, level)
 
 
 def cell_count(rule: FusionRule, level: int, label: str) -> int:
     """Number of cells the expanded supertile would occupy; in 1D, where a
     tile is one cell, the tile count."""
-    return _weighted_sums(rule, level, "tiles" if rule.dimension == 1 else "cells")[label]
+    return _entry(_weighted_sums(rule, level, "tiles" if rule.dimension == 1 else "cells"), label, level)
 
 
 def expand_supertile(
@@ -187,12 +190,12 @@ def expand_supertile(
 ) -> CellPatch:
     """Fully expand one supertile into a concrete patch.
 
-    One loop over levels, like _word_rows: walking down collects the labels
-    each level must supply, then level k is built from level k-1 only, so a
-    call holds two levels and no level costs a stack frame. A 2D child is
-    translated by its offset minus the body's smallest offset on each axis,
-    so every supertile is anchored at its bounding-box min corner, the box
-    that level_sizes and w()/h() measure.
+    Walking down collects the labels each level must supply; then one fold
+    over the levels (core._fold_levels), kept to those labels, builds level
+    k from level k-1 only, so a call holds two levels and no level costs a
+    stack frame. A 2D child is translated by its offset minus the body's
+    smallest offset on each axis, so every supertile is anchored at its
+    bounding-box min corner, the box that level_sizes and w()/h() measure.
 
     Beside its tiles, each 2D supertile carries its row runs, merged from
     its children's (see core._join_runs), so the expansion is checked from
@@ -202,9 +205,6 @@ def expand_supertile(
     (default 10^7) caps the cells.
     """
     max_cells = _cap(max_cells)
-    labels = resolve_level(rule, level).labels
-    if label not in labels:
-        raise UnknownLabelError(label, level, labels)
     predicted = cell_count(rule, level, label)
     if predicted > max_cells:
         raise ExpansionTooLargeError(predicted, max_cells)
@@ -219,12 +219,10 @@ def expand_supertile(
     else:
         runs = _prototile_runs(rule)
         fuse, row = _fuse_tiles, {lab: ((((0, 0), lab),), runs[lab]) for lab in needed[0]}
-    for k in range(1, level + 1):
-        res = resolve_level(rule, k)
-        row = {lab: fuse(res.supertile(lab).body, row) for lab in needed[k]}
+    fused = deque(_fold_levels(rule, level, row, fuse, keep=needed), maxlen=1)[0][label]
     if rule.dimension == 1:
-        return CellPatch(1, labels=row[label])
-    return _checked_patch(rule, *row[label])
+        return CellPatch(1, labels=fused)
+    return _checked_patch(rule, *fused)
 
 
 def _cap(max_cells: Optional[int]) -> int:
@@ -266,24 +264,15 @@ def _prototile_runs(rule: FusionRule) -> dict[str, Optional[Runs]]:
 
 def _run_rows(rule: FusionRule, top: int):
     """Yield, per level 0..top, every 2D supertile's row runs, None where
-    two of its tiles share a cell.
-
-    The 2D counterpart of _word_rows: each level joins the previous level's
-    runs with _join_runs, each child moved as _fuse_tiles moves it, so the
-    runs are exactly those of the cells that expand_supertile would paint,
-    connected or not. Nothing is expanded: a level costs its supertiles'
-    perimeters, and a call holds two levels.
+    two of its tiles share a cell. Each child is moved as _fuse_tiles moves
+    it, so the runs are exactly those of the cells that expand_supertile
+    would paint, connected or not; a level costs its supertiles' perimeters.
     """
-    row = _prototile_runs(rule)
-    if top >= 0:
-        yield row
-    for k in range(1, top + 1):
-        prev = row
-        row = {
-            s.label: _join_runs([(prev[child], dx, dy) for child, dx, dy in _shifts(s.body)])
-            for s in resolve_level(rule, k).supertiles
-        }
-        yield row
+    return _fold_levels(rule, top, _prototile_runs(rule), _fuse_runs)
+
+
+def _fuse_runs(body, prev) -> Optional[Runs]:
+    return _join_runs([(prev[child], dx, dy) for child, dx, dy in _shifts(body)])
 
 
 def tile_census(patch: CellPatch) -> dict[str, int]:
@@ -354,65 +343,61 @@ def _cross_count(left: tuple[str, ...], right: tuple[str, ...], word: tuple[str,
     return len(starts), (starts[0] if starts else None)
 
 
-def _word_rows(rule: FusionRule, word: Union[str, tuple[str, ...]], top: int):
+def _word_rows(rule: FusionRule, word: Union[str, tuple[str, ...]], top: int, place: bool = False):
     """Yield, per level 0..top, each supertile's (occurrences of the word,
-    start of the first occurrence or None); nothing is expanded.
+    start of the first occurrence or None, tile count, first and last
+    |word|-1 labels); nothing is expanded. The start and the tile count,
+    whose products can run to thousands of digits, are summed only when
+    place is true (is_admissible); counts alone cost no size arithmetic.
 
-    A level is a left fold over each body that reads the children's rows and
-    their first and last |word|-1 labels. At each seam it adds the windows
-    that start left of the seam and end in the new piece, using the running
-    suffix, so a window across several short children is counted once, at
-    the seam where its last piece begins. Within a run of copies the suffix
-    stops changing after at most |word| copies, and from then on each copy
-    adds the same count: 10^300 copies cost one multiplication. tile_count
-    places the first occurrence, once per supertile. The fold builds the
-    supertile's own ends as it goes, so nothing is kept on the rule and a
-    call holds two levels at a time.
+    Each supertile is a left fold over its body. At each seam it adds the
+    windows that start left of the seam and end in the new piece, using the
+    running suffix, so a window across several short children is counted
+    once, at the seam where its last piece begins. Within a run of copies
+    the suffix stops changing after at most |word| copies, and from then on
+    each copy adds the same count: 10^300 copies cost one multiplication.
+    The running tile count places the first occurrence.
     """
     labels = parse_word(rule, word) if isinstance(word, str) else tuple(word)
     if not labels:
         raise ValueError("empty word")
     keep = len(labels) - 1
-    row = {lab: (1, 0) if labels == (lab,) else (0, None) for lab in rule.prototile_names()}
-    ends = {lab: ((lab,)[:keep], (lab,)[:keep]) for lab in row}
-    if top >= 0:
-        yield row
-    for k in range(1, top + 1):
-        prev, prev_ends, row, ends = row, ends, {}, {}
-        for s in resolve_level(rule, k).supertiles:
-            count, first, head, tail = 0, None, (), ()
-            for j, p in enumerate(s.body):
-                inside, at = prev[p.child]
-                child_head, child_tail = prev_ends[p.child]
-                for copy in range(p.repeat):
-                    crossing, cross_at = _cross_count(tail, child_head, labels)
-                    if first is None and (crossing or inside):
-                        # where this copy starts; summed only here, as the
-                        # sizes can be huge and are needed just this once
-                        start = copy * tile_count(rule, k - 1, p.child)
-                        start += sum(q.repeat * tile_count(rule, k - 1, q.child) for q in s.body[:j])
-                        first = start + (cross_at - len(tail) if crossing else at)
-                    count += crossing + inside
-                    head = (head + child_head)[:keep]
-                    joined = tail + child_tail
-                    joined = joined[max(0, len(joined) - keep) :]
-                    if joined == tail:
-                        # the next copies see this same suffix, and the
-                        # head is full by now
-                        count += (p.repeat - copy - 1) * (crossing + inside)
-                        break
-                    tail = joined
-            row[s.label] = (count, first)
-            ends[s.label] = (head, tail)
-        yield row
+
+    def fuse(body, prev):
+        count, first, size, head, tail = 0, None, 0, (), ()
+        for p in body:
+            inside, at, child_size, child_head, child_tail = prev[p.child]
+            for copy in range(p.repeat):
+                crossing, cross_at = _cross_count(tail, child_head, labels)
+                if place and first is None and (crossing or inside):
+                    first = size + copy * child_size + (cross_at - len(tail) if crossing else at)
+                count += crossing + inside
+                head = (head + child_head)[:keep]
+                joined = tail + child_tail
+                joined = joined[max(0, len(joined) - keep) :]
+                if joined == tail:
+                    # the next copies see this same suffix, and the head
+                    # is full by now
+                    count += (p.repeat - copy - 1) * (crossing + inside)
+                    break
+                tail = joined
+            if place:
+                size += p.repeat * child_size
+        return count, first, size, head, tail
+
+    row = {
+        lab: ((1, 0) if labels == (lab,) else (0, None)) + (1, (lab,)[:keep], (lab,)[:keep])
+        for lab in rule.prototile_names()
+    }
+    return _fold_levels(rule, top, row, fuse)
 
 
 def prefix_suffix(rule: FusionRule, level: int, label: str, length: int) -> tuple[str, str]:
     """First and last min(length, size) labels of the expansion, as words.
 
-    Built level by level from the children's ends, so it works at levels
-    whose full expansion is far beyond any budget. A call holds two levels
-    at a time and keeps nothing on the rule.
+    Built from the children's ends, so it works at levels whose full
+    expansion is far beyond any budget, and keeps nothing on the rule. A
+    label the level does not define raises UnknownLabelError.
     """
     if rule.dimension != 1:
         raise ValueError("prefix_suffix is for 1D rules")
@@ -432,17 +417,15 @@ def prefix_suffix(rule: FusionRule, level: int, label: str, length: int) -> tupl
                     return tuple(out[:length])
         return tuple(out)
 
+    def fuse(body, prev) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        # a suffix is the reversed head of the reversed children
+        return (
+            head((prev[p.child][0], p.repeat) for p in body),
+            head((prev[p.child][1][::-1], p.repeat) for p in reversed(body))[::-1],
+        )
+
     ends = {lab: ((lab,), (lab,)) for lab in rule.prototile_names()}
-    for k in range(1, level + 1):
-        ends = {
-            # a suffix is the reversed head of the reversed children
-            s.label: (
-                head((ends[p.child][0], p.repeat) for p in s.body),
-                head((ends[p.child][1][::-1], p.repeat) for p in reversed(s.body))[::-1],
-            )
-            for s in resolve_level(rule, k).supertiles
-        }
-    pre, suf = ends[label]
+    pre, suf = _entry(deque(_fold_levels(rule, level, ends, fuse), maxlen=1)[0], label, level)
     return (word_string(rule, pre), word_string(rule, suf))
 
 
@@ -502,8 +485,8 @@ def is_admissible(
     if patch.dimension != rule.dimension:
         raise ValueError("patch dimension does not match the rule")
     if patch.dimension == 1:
-        for level, row in enumerate(_word_rows(rule, word_string(rule, patch.labels), max_level)):
-            for label, (count, first) in row.items():
+        for level, row in enumerate(_word_rows(rule, word_string(rule, patch.labels), max_level, place=True)):
+            for label, (count, first, *_) in row.items():
                 if count:
                     return AdmissibilityResult(True, level, label, (first,), level + 1)
         return AdmissibilityResult(False, searched_levels=max_level + 1)

@@ -5,14 +5,19 @@ the fusion tree, how many level-n supertiles of type i occur inside the
 level-N supertile of type j. Everything is exact: entries are Python
 integers (arbitrary precision), volumes are rationals. Row and column order
 is the canonical supertile order of the respective levels.
+
+A matrix is built by one fold of columns over the levels: column j of
+M[n -> k] sums repeat x child column of M[n -> k-1] over the body of
+level-k supertile j. compose is the independent matrix product.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FusionRule, _weighted_sums, resolve_level
+from .core import FusionRule, _fold_levels, _weighted_sums, resolve_level
 from .errors import InvalidRangeError
 
 
@@ -65,35 +70,39 @@ def compose(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
 
 def step_matrix(rule: FusionRule, k: int) -> TransitionMatrix:
     """One-level matrix from level k-1 to level k (k >= 1)."""
-    if k < 1:
-        raise InvalidRangeError(k - 1, k)
-    rows = resolve_level(rule, k - 1).labels
-    res = resolve_level(rule, k)
-    counts = tuple(
-        tuple(sum(p.repeat for p in s.body if p.child == label) for s in res.supertiles)
-        for label in rows
-    )
-    return TransitionMatrix(k - 1, k, rows, res.labels, counts)
+    return transition_matrix(rule, k - 1, k)
 
 
 def transition_matrix(rule: FusionRule, n: int, N: int) -> TransitionMatrix:
     """Counts of level-n supertiles inside level-N supertiles (n <= N).
 
-    N == n yields the identity. Built as the left-to-right product of step
-    matrices, one multiplication per level; only the level resolutions are
-    kept, not the products.
+    N == n yields the identity. One fold of columns over levels n..N that
+    holds two levels at a time (_column_rows); only the level resolutions
+    are kept on the rule.
     """
+    cols = deque(_column_rows(rule, n, N), maxlen=1)[0]
+    return _matrix(n, N, resolve_level(rule, n).labels, cols)
+
+
+def _column_rows(rule: FusionRule, n: int, N: int):
+    """Yield, per level k = n..N, the columns of M[n -> k] by label."""
     if N < n or n < 0:
         raise InvalidRangeError(n, N)
     labels = resolve_level(rule, n).labels
-    entries = tuple(
-        tuple(1 if i == j else 0 for j in range(len(labels)))
-        for i in range(len(labels))
-    )
-    m = TransitionMatrix(n, n, labels, labels, entries)
-    for k in range(n + 1, N + 1):
-        m = compose(m, step_matrix(rule, k))
-    return m
+    zero = (0,) * len(labels)
+    unit = {lab: tuple(int(i == j) for i in range(len(labels))) for j, lab in enumerate(labels)}
+
+    def column(body, prev) -> tuple[int, ...]:
+        # zero sets the length, which an empty body would not
+        parts = [prev[p.child] if p.repeat == 1 else [p.repeat * e for e in prev[p.child]] for p in body]
+        return tuple(map(sum, zip(zero, *parts)))
+
+    return _fold_levels(rule, N, unit, column, bottom=n)
+
+
+def _matrix(n: int, N: int, row_labels: tuple[str, ...], cols: dict) -> TransitionMatrix:
+    """M[n -> N] from its columns by label."""
+    return TransitionMatrix(n, N, row_labels, tuple(cols), tuple(zip(*cols.values())))
 
 
 def volumes(rule: FusionRule, n: int) -> VolumeVector:

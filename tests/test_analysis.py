@@ -90,6 +90,12 @@ class TestPrimitivity:
         with pytest.raises(InvalidRangeError):
             primitivity_check(load_builtin("fibonacci"), 0, 0)
 
+    @pytest.mark.parametrize("max_offset", [1, 3])
+    def test_negative_level_names_its_own_range(self, max_offset):
+        with pytest.raises(InvalidRangeError) as exc:
+            primitivity_check(load_builtin("fibonacci"), -1, max_offset)
+        assert (exc.value.from_level, exc.value.to_level) == (-1, -1)
+
 
 class TestVanHove:
     def test_fibonacci_ratios(self):
@@ -553,6 +559,13 @@ class TestWordCount:
         patch_universality(fib, "AABAA", 50)
         is_admissible(fib, "ABAABAA", 50)
         assert set(fib._levels) == tables
+
+    def test_word_pass_fills_no_count_table(self):
+        # the first occurrence is placed from the pass's own tile counts
+        fib = parse_rule(builtin_text("fibonacci"))
+        assert word_count(fib, "BAA", 40, "A") > 0
+        assert is_admissible(fib, "ABAABAA", 40).found
+        assert set(fib._levels) == {"resolutions"}
 
     def test_rejects_2d_rules(self):
         with pytest.raises(ValueError):

@@ -156,7 +156,6 @@ class TestExitCodes:
         assert payload["schema"] == "fusionlab/1" and payload["result"] is None
 
     def test_deep_horizon_one_envelope(self, run_cli):
-        load_builtin.cache_clear()  # start from a rule with an empty level table
         argv = ["matrix", "fibonacci", "--from", "0", "--to", "10000", "--json"]
         code, out, err = run_cli(argv)
         assert code == 0 and err == ""

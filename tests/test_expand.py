@@ -16,6 +16,7 @@ from fusionlab.core import (
     level_sizes,
     resolve_level,
 )
+from fusionlab.analysis import word_count
 from fusionlab.dsl import parse_rule
 from fusionlab import core, expand
 from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError
@@ -105,6 +106,21 @@ class TestCounts:
         assert (exc.value.label, exc.value.level, exc.value.labels) == ("XX", level, labels)
         assert str(exc.value) == f"no supertile 'XX' at level {level}; labels there: {', '.join(labels)}"
         assert isinstance(exc.value, KeyError)
+
+    @pytest.mark.parametrize(
+        "call, labels",
+        [
+            (lambda: word_count(load_builtin("fibonacci"), "AB", 3, "Z"), ("A", "B")),
+            (lambda: prefix_suffix(load_builtin("fibonacci"), 3, "Z", 2), ("A", "B")),
+            (lambda: tile_count(load_builtin("fibonacci"), 3, "Z"), ("A", "B")),
+            (lambda: cell_count(load_builtin("chair"), 3, "Z"), ("NE", "NW", "SW", "SE")),
+        ],
+        ids=["word_count", "prefix_suffix", "tile_count", "cell_count"],
+    )
+    def test_unknown_label_is_named_by_every_count(self, call, labels):
+        with pytest.raises(UnknownLabelError) as exc:
+            call()
+        assert (exc.value.label, exc.value.level, exc.value.labels) == ("Z", 3, labels)
 
     @pytest.mark.parametrize("max_cells", [0, -1])
     def test_max_cells_below_one_rejected(self, max_cells):

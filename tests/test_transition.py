@@ -1,9 +1,11 @@
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from fusionlab.builtins import builtin_names, builtin_text, load_builtin
+from fusionlab.core import FusionRule, Placement, Prototile, SupertileDef
 from fusionlab.dsl import parse_rule
 from fusionlab.errors import InvalidRangeError
 from fusionlab.expand import cell_count, expand_supertile, tile_census
@@ -136,3 +138,18 @@ class TestCensusAgreement:
                 census = tile_census(patch)
                 for i, proto in enumerate(m.row_labels):
                     assert census.get(proto, 0) == m.column(lab)[i]
+
+
+def test_bundled_rule_table_is_freed_with_the_rule():
+    rule = load_builtin("fibonacci")
+    transition_matrix(rule, 0, 3000)
+    ref = weakref.ref(rule)
+    del rule
+    assert ref() is None
+
+
+def test_empty_body_has_a_zero_column():
+    # validate_rule rejects an empty body, but a rule built in Python may hold one
+    defs = (SupertileDef("A", (Placement("A"), Placement("B"))), SupertileDef("B", ()))
+    rule = FusionRule("empty", 1, (Prototile("A"), Prototile("B")), defs)
+    assert transition_matrix(rule, 0, 2).entries == ((1, 0), (1, 0))
