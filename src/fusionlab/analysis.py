@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Optional, Union
 
-from .core import FusionRule, Runs, _entry, resolve_level
+from .core import FusionRule, Runs, _entry, _placed, resolve_level
 from .errors import InvalidRangeError
 from .expand import (
     CellPatch,
@@ -164,7 +164,8 @@ def van_hove_diagnostic(
     boundary divided by its cell count. The band is read from the row runs
     of one bottom-up pass (expand._run_rows), so no supertile is expanded
     to be measured, at any size. A disconnected supertile raises
-    DisconnectedError, as its expansion would. Only a supertile whose tiles
+    DisconnectedError, as its expansion would, and an empty one
+    EmptySupertileError. Only a supertile whose tiles
     overlap is expanded, within max_cells, to raise the OverlapError that
     names the tiles; max_cells caps nothing else. Each level reports the
     worst (largest) supertile ratio. depth and r must be at least 1.
@@ -182,10 +183,12 @@ def van_hove_diagnostic(
     for lv, level_runs in zip(levels, run_rows):
         best: Optional[Fraction] = None
         best_label = ""
-        for label in resolve_level(rule, lv).labels:
+        for s in resolve_level(rule, lv).supertiles:
+            label = s.label
             if rule.dimension == 1:
                 band = 2 * r
             else:
+                _placed(s, lv)  # an empty supertile has no boundary
                 runs = level_runs[label]
                 if runs is None:
                     expand_supertile(rule, lv, label, max_cells)  # raises the OverlapError

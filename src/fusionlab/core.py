@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from .errors import (
     EmptyLevelError,
+    EmptySupertileError,
     InvalidRepeatError,
     NegativeExponentError,
     UndefinedLabelError,
@@ -382,6 +383,14 @@ def _fold_levels(rule: FusionRule, top: int, row: dict, fuse: Callable, bottom: 
         yield row
 
 
+def _placed(s: ResolvedSupertile, level: int) -> tuple[ResolvedPlacement, ...]:
+    """The body of a level-`level` 2D supertile; EmptySupertileError if it
+    places no child, as it then has no cells to anchor, box or expand."""
+    if not s.body:
+        raise EmptySupertileError(s.label, level)
+    return s.body
+
+
 def _entry(row: Mapping[str, Any], label: str, level: int) -> Any:
     """row[label] of a level's row; UnknownLabelError if the level lacks it."""
     if label not in row:
@@ -393,8 +402,9 @@ def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:
     """Bounding boxes (width, height) of every level-n supertile.
 
     A 1D box is (tile count, 1), as every tile is one cell. A 2D child spans
-    [offset, offset + size) on each axis. Computed without expanding cells,
-    so this stays cheap where expansions would be astronomically large.
+    [offset, offset + size) on each axis, and a 2D supertile with an empty
+    body raises EmptySupertileError. Computed without expanding cells, so
+    this stays cheap where expansions would be astronomically large.
     """
     if rule.dimension == 1:
         return {label: (count, 1) for label, count in _weighted_sums(rule, n, "tiles").items()}
@@ -404,10 +414,11 @@ def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:
             return {p.name: p.size() for p in rule.prototiles}
         return {
             s.label: tuple(
-                max(p.offset[a] + prev[p.child][a] for p in s.body) - min(p.offset[a] for p in s.body)
+                max(p.offset[a] + prev[p.child][a] for p in body) - min(p.offset[a] for p in body)
                 for a in (0, 1)
             )
             for s in resolve_level(rule, k).supertiles
+            for body in (_placed(s, k),)
         }
 
     return _level_rows(rule, "sizes", n, row)[n]

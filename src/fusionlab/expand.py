@@ -10,20 +10,23 @@ builds each level's values from the level below, one fusion step at a
 time: an expansion, the row runs of every supertile (_run_rows), word
 counts (_word_rows) and word ends (prefix_suffix).
 
-A 2D expansion is checked from row runs: each supertile it needs is kept
-as the maximal x-runs of each of its rows, which grow with its perimeter,
-not its area. A parent's runs are its children's shifted runs merged
-(core._join_runs), exact for any children, connected or not, and None
-only where two children share a cell. The expansion's own runs then say
-whether it is edge-connected, and only an overlap is traced back cell by
-cell to the two tiles that cause it. The same runs, built for every label
-without tiles, give van Hove ratios their boundary geometry.
+A 2D expansion carries each supertile it needs as three flat lists, the
+anchor x, anchor y and label of each tile, so the fold allocates no tuple
+per tile, and checks it from row runs: the maximal x-runs of each of its
+rows, which grow with its perimeter, not its area. A parent's runs are its
+children's shifted runs merged (core._join_runs), exact for any children,
+connected or not, and None only where two children share a cell. The
+expansion's own runs then say whether it is edge-connected, and only an
+overlap is traced back cell by cell to the two tiles that cause it. The
+same runs, built for every label without tiles, give van Hove ratios their
+boundary geometry.
 
 A 2D patch is its placed tiles (anchor position + label, the faithful
 notion for counting occurrences) together with the cells those tiles
-paint, which are derived once, when the patch is built, for rendering and
-boundary geometry. 1D patches are plain label sequences; words are counted
-and searched for without expanding anything (see _word_rows).
+paint. An expansion builds both tuples once, from the top level's lists,
+before it returns; a cell at a shape's (0, 0) is its tile's own pair. 1D
+patches are plain label sequences; words are counted and searched for
+without expanding anything (see _word_rows).
 """
 
 from __future__ import annotations
@@ -33,7 +36,18 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Optional, Union
 
-from .core import FusionRule, Runs, _component_sizes, _entry, _fold_levels, _join_runs, _runs_of, _weighted_sums, resolve_level
+from .core import (
+    FusionRule,
+    Runs,
+    _component_sizes,
+    _entry,
+    _fold_levels,
+    _join_runs,
+    _placed,
+    _runs_of,
+    _weighted_sums,
+    resolve_level,
+)
 from .errors import (
     DisconnectedError,
     ExpansionTooLargeError,
@@ -133,11 +147,21 @@ class CellPatch:
 def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
     """(cell, label) pairs of placed tiles, in tile order then shape order.
 
-    It checks nothing: _checked_patch paints only tiles whose row runs
-    show them overlap-free and edge-connected.
+    A shape's cell at (0, 0) is painted as the tile's own (anchor, label)
+    pair, so only the other cells cost a new pair: a rule of single-cell
+    prototiles paints its tiles themselves. It checks nothing:
+    _checked_patch paints only tiles whose row runs show them overlap-free
+    and edge-connected.
     """
-    shapes = {p.name: p.cells for p in rule.prototiles}
-    return tuple([((ax + cx, ay + cy), lab) for (ax, ay), lab in tiles for cx, cy in shapes[lab]])
+    # each shape's cells with None for the anchor cell; a shape of None,
+    # which validate_rule rejects, stays None and fails only where painted
+    shapes = {p.name: p.cells and tuple(None if c == (0, 0) else c for c in p.cells) for p in rule.prototiles}
+    return tuple([
+        tile if c is None else ((ax + c[0], ay + c[1]), lab)
+        for tile in tiles
+        for (ax, ay), lab in (tile,)
+        for c in shapes[lab]
+    ])
 
 
 def _check_overlap(rule: FusionRule, tiles) -> None:
@@ -197,32 +221,41 @@ def expand_supertile(
     smallest offset on each axis, so every supertile is anchored at its
     bounding-box min corner, the box that level_sizes and w()/h() measure.
 
-    Beside its tiles, each 2D supertile carries its row runs, merged from
-    its children's (see core._join_runs), so the expansion is checked from
-    its runs as from_tiles checks any tiles: an overlap raises OverlapError
-    and a disconnected expansion DisconnectedError (see _checked_patch). A
-    label the level does not define raises UnknownLabelError. max_cells
-    (default 10^7) caps the cells.
+    Each 2D supertile is carried as flat lists of its tiles' anchor x,
+    anchor y and label (see _fuse_tiles), beside its row runs, merged from
+    its children's (see core._join_runs). The patch's tiles tuple is built
+    once from the top level's lists and its cells painted once, both before
+    the call returns. The expansion is checked from its runs as from_tiles
+    checks any tiles: an overlap raises OverlapError and a disconnected
+    expansion DisconnectedError (see _checked_patch). A label the level
+    does not define raises UnknownLabelError, and a needed 2D supertile
+    with an empty body EmptySupertileError. max_cells (default 10^7) caps
+    the cells.
     """
     max_cells = _cap(max_cells)
     predicted = cell_count(rule, level, label)
     if predicted > max_cells:
         raise ExpansionTooLargeError(predicted, max_cells)
 
+    body = _placed if rule.dimension == 2 else lambda s, k: s.body
     needed = [{label}]  # labels per level, from the top down
     for k in range(level, 0, -1):
-        res = resolve_level(rule, k)
-        needed.append({p.child for lab in needed[-1] for p in res.supertile(lab).body})
+        supertiles = [s for s in resolve_level(rule, k).supertiles if s.label in needed[-1]]
+        needed.append({p.child for s in supertiles for p in body(s, k)})
     needed.reverse()
     if rule.dimension == 1:
         fuse, row = _fuse_words, {lab: (lab,) for lab in needed[0]}
     else:
         runs = _prototile_runs(rule)
-        fuse, row = _fuse_tiles, {lab: ((((0, 0), lab),), runs[lab]) for lab in needed[0]}
+        fuse, row = _fuse_tiles, {lab: ([0], [0], [lab], runs[lab]) for lab in needed[0]}
     fused = deque(_fold_levels(rule, level, row, fuse, keep=needed), maxlen=1)[0][label]
     if rule.dimension == 1:
         return CellPatch(1, labels=fused)
-    return _checked_patch(rule, *fused)
+    xs, ys, labels, runs = fused
+    tiles = tuple(zip(zip(xs, ys), labels))
+    # freed before painting, so the collector's full passes stop walking them
+    del fused, xs, ys, labels
+    return _checked_patch(rule, tiles, runs)
 
 
 def _cap(max_cells: Optional[int]) -> int:
@@ -238,20 +271,31 @@ def _fuse_words(body, prev) -> tuple[str, ...]:
     return tuple(chain.from_iterable(prev[p.child] * p.repeat for p in body))
 
 
-def _fuse_tiles(body, prev) -> tuple[tuple[tuple[Cell, str], ...], Optional[Runs]]:
-    """A 2D supertile's tiles and row runs from its children's (tiles, runs);
-    the runs are None where two children share a cell or a child's are None."""
-    tiles, pieces = [], []
+def _fuse_tiles(body, prev) -> tuple[list[int], list[int], list[str], Optional[Runs]]:
+    """A 2D supertile's tiles, as flat lists of anchor x, anchor y and label,
+    and its row runs, from its children's; the runs are None where two
+    children share a cell or a child's are None. A child is shifted by a
+    new int list only on an axis where it moves, and no tile gets a tuple.
+    """
+    xs: list[int] = []
+    ys: list[int] = []
+    labels: list[str] = []
+    pieces = []
     for child, dx, dy in _shifts(body):
-        child_tiles, runs = prev[child]
-        tiles.extend(((x + dx, y + dy), lab) for (x, y), lab in child_tiles)
+        cxs, cys, clabels, runs = prev[child]
+        xs += [x + dx for x in cxs] if dx else cxs
+        ys += [y + dy for y in cys] if dy else cys
+        labels += clabels
         pieces.append((runs, dx, dy))
-    return tuple(tiles), _join_runs(pieces)
+    return xs, ys, labels, _join_runs(pieces)
 
 
 def _shifts(body) -> list[tuple[str, int, int]]:
     """(child, dx, dy) per 2D placement: its offset minus the body's smallest
-    offset on each axis, so the supertile is anchored at its box corner."""
+    offset on each axis, so the supertile is anchored at its box corner. An
+    empty body, which the passes' callers reject (core._placed), has none."""
+    if not body:
+        return []
     minx, miny = map(min, zip(*(p.offset for p in body)))
     return [(p.child, p.offset[0] - minx, p.offset[1] - miny) for p in body]
 

@@ -126,6 +126,14 @@ def _random_2d(F, rng: random.Random, i: int):
     return F.FusionRule(f"random2d{i}", 2, prototiles, tuple(definitions))
 
 
+def _empty_2d(F):
+    """A 2D rule whose Q has an empty body, which validate_rule rejects but
+    a rule built in Python may hold; P places a Q beside itself."""
+    body = tuple(F.Placement(child, F.Lit(1), (F.Lit(x), F.Lit(0))) for child, x in (("P", 0), ("Q", 1)))
+    prototiles = tuple(F.Prototile(name, Fraction(1), cells=((0, 0),)) for name in "PQ")
+    return F.FusionRule("empty2d", 2, prototiles, (F.SupertileDef("P", body), F.SupertileDef("Q", ())))
+
+
 def _labels(F, rule, level) -> tuple:
     try:
         return F.resolve_level(rule, level).labels
@@ -217,6 +225,7 @@ def records(seed: int, count: int, out) -> None:
     rng = random.Random(seed)
     rules += [(f"random1d{i}", _random_1d(F, rng, i), 6) for i in range(count)]
     rules += [(f"random2d{i}", _random_2d(F, rng, i), 3) for i in range(count)]
+    rules.append(("empty2d", _empty_2d(F), 3))
     for rid, rule, top in rules:
         # each rule draws from its own stream, so one rule's calls cannot
         # shift another's arguments

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,11 @@ from fusionlab.core import (
     level_sizes,
     resolve_level,
 )
-from fusionlab.analysis import word_count
+from fusionlab.analysis import van_hove_diagnostic, word_count
 from fusionlab.dsl import parse_rule
+from fusionlab.transition import transition_matrix
 from fusionlab import core, expand
-from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError
+from fusionlab.errors import DisconnectedError, EmptySupertileError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError
 from fusionlab.expand import (
     CellPatch,
     cell_count,
@@ -324,6 +326,59 @@ def test_expansion_matches_anchored_reference(rule, level, pick):
     if isinstance(got, CellPatch):
         assert got.size() == level_sizes(rule, level)[label]
         assert len(_brute_components(c for c, _ in got.cells)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule=random_2d_rules, level=st.integers(min_value=0, max_value=3), pick=st.integers(min_value=0, max_value=1))
+def test_cells_are_painted_in_tile_then_shape_order(rule, level, pick):
+    names = rule.prototile_names()
+    got = outcome(lambda: expand_supertile(rule, level, names[pick % len(names)]))
+    if isinstance(got, CellPatch):
+        shapes = {p.name: p.cells for p in rule.prototiles}
+        assert got.cells == tuple(
+            ((ax + cx, ay + cy), lab) for (ax, ay), lab in got.tiles for cx, cy in shapes[lab]
+        )
+
+
+class TestFlatExpansion:
+    def test_single_cell_prototiles_paint_their_tiles(self):
+        patch = expand_supertile(load_builtin("fib2d"), 6, "AA")
+        assert patch.cells == patch.tiles
+
+    def test_collector_settings_are_left_alone(self):
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        expand_supertile(load_builtin("chair"), 6, "NE")
+        assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+
+
+EMPTY_2D = FusionRule(
+    "empty", 2,
+    (Prototile("P", cells=((0, 0),)), Prototile("Q", cells=((0, 0),))),
+    (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))), Placement("Q", Lit(1), (Lit(1), Lit(0))))),
+     SupertileDef("Q", ())),
+)
+
+
+class TestEmptySupertile:
+    """validate_rule rejects an empty body; a rule built in Python may hold one."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: expand_supertile(EMPTY_2D, 2, "P"),
+        lambda: expand_supertile(EMPTY_2D, 1, "Q"),
+        lambda: van_hove_diagnostic(EMPTY_2D, 2),
+        lambda: level_sizes(EMPTY_2D, 1),
+    ])
+    def test_2d_passes_name_the_empty_supertile(self, call):
+        with pytest.raises(EmptySupertileError, match="'Q' at level 1") as info:
+            call()
+        assert isinstance(info.value, ValueError)
+        assert (info.value.label, info.value.level) == ("Q", 1)
+
+    def test_counts_still_answer(self):
+        assert cell_count(EMPTY_2D, 1, "Q") == 0
+        assert cell_count(EMPTY_2D, 2, "P") == 2
+        assert transition_matrix(EMPTY_2D, 0, 1).column("Q") == (0, 0)
+        assert expand_supertile(EMPTY_2D, 1, "P").cells == (((0, 0), "P"), ((1, 0), "Q"))
 
 
 class TestRowRunConnectivity:
