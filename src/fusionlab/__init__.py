@@ -54,7 +54,6 @@ from .dsl import ParseDiagnostic, SourceSpan, format_rule, parse_rule, parse_rul
 from .errors import (
     DisconnectedError,
     EmptyLevelError,
-    EmptySupertileError,
     ExpansionTooLargeError,
     FusionError,
     InvalidRangeError,
@@ -112,8 +111,8 @@ __all__ = [
     "frequency_hull", "patch_count_2d", "patch_frequency_estimate",
     "patch_universality", "primitivity_check", "van_hove_diagnostic",
     "word_count",
-    "DisconnectedError", "EmptyLevelError", "EmptySupertileError",
-    "ExpansionTooLargeError", "FusionError", "InvalidRangeError", "InvalidRepeatError",
+    "DisconnectedError", "EmptyLevelError", "ExpansionTooLargeError",
+    "FusionError", "InvalidRangeError", "InvalidRepeatError",
     "NegativeExponentError", "OverlapError", "ParseError",
     "UndefinedLabelError", "UnknownDimensionError", "UnknownLabelError",
     "ValidationError",

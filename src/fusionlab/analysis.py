@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Optional, Union
 
-from .core import FusionRule, Runs, _entry, _placed, resolve_level
+from .core import FusionRule, Runs, _entry, resolve_level
 from .errors import InvalidRangeError
 from .expand import (
     CellPatch,
@@ -164,8 +164,7 @@ def van_hove_diagnostic(
     boundary divided by its cell count. The band is read from the row runs
     of one bottom-up pass (expand._run_rows), so no supertile is expanded
     to be measured, at any size. A disconnected supertile raises
-    DisconnectedError, as its expansion would, and an empty one
-    EmptySupertileError. Only a supertile whose tiles
+    DisconnectedError, as its expansion would. Only a supertile whose tiles
     overlap is expanded, within max_cells, to raise the OverlapError that
     names the tiles; max_cells caps nothing else. Each level reports the
     worst (largest) supertile ratio. depth and r must be at least 1.
@@ -188,7 +187,6 @@ def van_hove_diagnostic(
             if rule.dimension == 1:
                 band = 2 * r
             else:
-                _placed(s, lv)  # an empty supertile has no boundary
                 runs = level_runs[label]
                 if runs is None:
                     expand_supertile(rule, lv, label, max_cells)  # raises the OverlapError
@@ -291,8 +289,11 @@ def ergodicity_report(
 
     unique: the final diameter is below tol. multiple: every diameter in
     the trailing window stays above floor (slow contractions stay
-    undecided). Verdicts are finite-depth diagnostics, not proofs.
+    undecided). Verdicts are finite-depth diagnostics, not proofs. window
+    must be at least 1.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if depth <= n:
         raise InvalidRangeError(n, depth)
     horizons = tuple(range(n + 1, depth + 1))

@@ -27,12 +27,12 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from .errors import (
     EmptyLevelError,
-    EmptySupertileError,
     InvalidRepeatError,
     NegativeExponentError,
     UndefinedLabelError,
     UnknownDimensionError,
     UnknownLabelError,
+    ValidationError,
 )
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,11 @@ class IsPow:
     base: int
     exponent: IntExpr
 
+    def __post_init__(self) -> None:
+        if self.base < 2:
+            # base 1 would loop forever in eval_guard and base 0 divide by zero
+            raise ValueError(f"ispow base must be >= 2, got {self.base}")
+
 
 @dataclass(frozen=True)
 class Not:
@@ -178,9 +183,6 @@ def eval_guard(guard: Guard, n: int) -> bool:
     if isinstance(guard, IsPow):
         v = eval_expr(guard.exponent, n)
         b = guard.base
-        if b < 2:
-            # base 1 would loop forever below and base 0 divide by zero
-            raise ValueError(f"ispow base must be >= 2, got {b}")
         if v < b:
             return False
         while v % b == 0:
@@ -207,7 +209,8 @@ class Prototile:
     In dimension 1 every tile is one cell, so a supertile's length is its
     tile count, and cells stays None. In dimension 2 the prototile is its
     cells, a polyomino sorted by (x, y) and anchored at min x = min y = 0;
-    validate_rule rejects a 2D prototile whose cells are None or empty.
+    a FusionRule rejects a 2D prototile whose cells are None or empty,
+    repeat a cell, are not edge-connected or are not so anchored.
     volume defaults to 1 in 1D and to the cell count in 2D.
     """
 
@@ -247,10 +250,21 @@ class SupertileDef:
 
 @dataclass(frozen=True)
 class FusionRule:
+    """A fusion rule whose structure is valid: building one, directly or by
+    dataclasses.replace, raises ValidationError with every structural
+    Diagnostic (see _structure). Whether each level resolves is a question
+    for validate_rule, as it depends on the level.
+    """
+
     name: str
     dimension: int
     prototiles: tuple[Prototile, ...]
     definitions: tuple[SupertileDef, ...]
+
+    def __post_init__(self) -> None:
+        diagnostics = _structure(self)
+        if diagnostics:
+            raise ValidationError(diagnostics)
 
     def prototile_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.prototiles)
@@ -383,14 +397,6 @@ def _fold_levels(rule: FusionRule, top: int, row: dict, fuse: Callable, bottom: 
         yield row
 
 
-def _placed(s: ResolvedSupertile, level: int) -> tuple[ResolvedPlacement, ...]:
-    """The body of a level-`level` 2D supertile; EmptySupertileError if it
-    places no child, as it then has no cells to anchor, box or expand."""
-    if not s.body:
-        raise EmptySupertileError(s.label, level)
-    return s.body
-
-
 def _entry(row: Mapping[str, Any], label: str, level: int) -> Any:
     """row[label] of a level's row; UnknownLabelError if the level lacks it."""
     if label not in row:
@@ -402,9 +408,9 @@ def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:
     """Bounding boxes (width, height) of every level-n supertile.
 
     A 1D box is (tile count, 1), as every tile is one cell. A 2D child spans
-    [offset, offset + size) on each axis, and a 2D supertile with an empty
-    body raises EmptySupertileError. Computed without expanding cells, so
-    this stays cheap where expansions would be astronomically large.
+    [offset, offset + size) on each axis; every body places a child, as
+    FusionRule checks. Computed without expanding cells, so this stays
+    cheap where expansions would be astronomically large.
     """
     if rule.dimension == 1:
         return {label: (count, 1) for label, count in _weighted_sums(rule, n, "tiles").items()}
@@ -414,11 +420,10 @@ def level_sizes(rule: FusionRule, n: int) -> Mapping[str, tuple[int, int]]:
             return {p.name: p.size() for p in rule.prototiles}
         return {
             s.label: tuple(
-                max(p.offset[a] + prev[p.child][a] for p in body) - min(p.offset[a] for p in body)
+                max(p.offset[a] + prev[p.child][a] for p in s.body) - min(p.offset[a] for p in s.body)
                 for a in (0, 1)
             )
             for s in resolve_level(rule, k).supertiles
-            for body in (_placed(s, k),)
         }
 
     return _level_rows(rule, "sizes", n, row)[n]
@@ -473,7 +478,7 @@ class Diagnostic:
 
 
 # Row runs of a set of cells: row y -> its maximal x-runs (x0, x1), sorted.
-# The one 2D geometry: validate_rule reads prototile shapes from them, and
+# The one 2D geometry: FusionRule checks prototile shapes with them, and
 # expand and analysis read expansions and van Hove bands.
 Runs = dict[int, tuple[tuple[int, int], ...]]
 
@@ -556,18 +561,10 @@ def _component_sizes(runs: Runs) -> list[int]:
     return [size[i] for i in range(len(root)) if root[i] == i]
 
 
-def _ispow_bases(guard: Guard) -> list[int]:
-    if isinstance(guard, IsPow):
-        return [guard.base]
-    return [b for part in vars(guard).values() if isinstance(part, Guard) for b in _ispow_bases(part)]
-
-
-def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
-    """Check the structural invariants and resolve levels 1..depth.
-
-    Returns diagnostics instead of raising so a caller can report several
-    problems at once. Resolution stops at the first level that fails, since
-    later levels depend on its label set.
+def _structure(rule: FusionRule) -> list[Diagnostic]:
+    """The structural faults of a rule, which no level changes: its
+    dimension, prototiles (names, volumes, shapes), empty bodies and
+    placements with an offset or a repeat the dimension does not have.
     """
     out: list[Diagnostic] = []
 
@@ -600,10 +597,6 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
     for d in rule.definitions:
         if not d.body:
             out.append(Diagnostic("empty-body", f"definition of {d.label!r} has no placements", label=d.label))
-        for base in _ispow_bases(d.guard):
-            if base < 2:
-                # eval_guard raises on such a base; report it with the rest
-                out.append(Diagnostic("bad-ispow", f"ispow base must be >= 2, got {base}", label=d.label))
         for p in d.body:
             if rule.dimension == 1 and p.offset is not None:
                 out.append(Diagnostic("offset-in-1d", f"1D placement of {p.child!r} carries an offset", label=d.label))
@@ -612,9 +605,18 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
             if rule.dimension == 2 and p.offset is None:
                 out.append(Diagnostic("no-offset-in-2d", f"2D placement of {p.child!r} has no offset", label=d.label))
 
-    if out:
-        return out
+    return out
 
+
+def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
+    """Resolve levels 1..depth of a rule whose structure its constructor
+    has checked (see FusionRule).
+
+    Returns diagnostics instead of raising so a caller can report the
+    failing level and label. Resolution stops at the first level that
+    fails, since later levels depend on its label set.
+    """
+    out: list[Diagnostic] = []
     for n in range(1, depth + 1):
         try:
             resolve_level(rule, n)

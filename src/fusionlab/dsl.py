@@ -448,15 +448,18 @@ class _Parser:
 
 
 def parse_rule_text(text: str) -> FusionRule:
-    """Syntax-only parse; raises ParseError with source spans."""
+    """Parse without resolving levels. Syntax problems raise ParseError
+    with source spans; a rule whose structure is invalid raises the
+    ValidationError of its constructor (see FusionRule)."""
     return _Parser(_tokenize(text)).parse_rule()
 
 
 def parse_rule(text: str, depth: int = 64) -> FusionRule:
     """Parse and validate a rule text.
 
-    Validation resolves levels 1..depth; its diagnostics are raised as a
-    ValidationError. Syntax problems raise ParseError.
+    Syntax problems raise ParseError and structural ones the constructor's
+    ValidationError; then validation resolves levels 1..depth, and its
+    diagnostics are raised as a ValidationError.
     """
     rule = parse_rule_text(text)
     diags = core.validate_rule(rule, depth)

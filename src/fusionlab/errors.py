@@ -32,20 +32,6 @@ class UndefinedLabelError(FusionError):
         self.level = level
 
 
-class EmptySupertileError(FusionError, ValueError):
-    """A 2D supertile whose body places no child, so it has no cells to
-    anchor, box or expand.
-
-    validate_rule rejects an empty body, but a rule built in Python may
-    hold one. A ValueError, as the bare errors it replaces.
-    """
-
-    def __init__(self, label: str, level: int):
-        super().__init__(f"2D supertile {label!r} at level {level} has an empty body")
-        self.label = label
-        self.level = level
-
-
 class UnknownLabelError(FusionError, KeyError):
     """A supertile label that the level does not define.
 

@@ -43,7 +43,6 @@ from .core import (
     _entry,
     _fold_levels,
     _join_runs,
-    _placed,
     _runs_of,
     _weighted_sums,
     resolve_level,
@@ -153,9 +152,8 @@ def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
     _checked_patch paints only tiles whose row runs show them overlap-free
     and edge-connected.
     """
-    # each shape's cells with None for the anchor cell; a shape of None,
-    # which validate_rule rejects, stays None and fails only where painted
-    shapes = {p.name: p.cells and tuple(None if c == (0, 0) else c for c in p.cells) for p in rule.prototiles}
+    # each shape's cells with None for the anchor cell
+    shapes = {p.name: tuple(None if c == (0, 0) else c for c in p.cells) for p in rule.prototiles}
     return tuple([
         tile if c is None else ((ax + c[0], ay + c[1]), lab)
         for tile in tiles
@@ -228,20 +226,18 @@ def expand_supertile(
     the call returns. The expansion is checked from its runs as from_tiles
     checks any tiles: an overlap raises OverlapError and a disconnected
     expansion DisconnectedError (see _checked_patch). A label the level
-    does not define raises UnknownLabelError, and a needed 2D supertile
-    with an empty body EmptySupertileError. max_cells (default 10^7) caps
-    the cells.
+    does not define raises UnknownLabelError. max_cells (default 10^7)
+    caps the cells.
     """
     max_cells = _cap(max_cells)
     predicted = cell_count(rule, level, label)
     if predicted > max_cells:
         raise ExpansionTooLargeError(predicted, max_cells)
 
-    body = _placed if rule.dimension == 2 else lambda s, k: s.body
     needed = [{label}]  # labels per level, from the top down
     for k in range(level, 0, -1):
         supertiles = [s for s in resolve_level(rule, k).supertiles if s.label in needed[-1]]
-        needed.append({p.child for s in supertiles for p in body(s, k)})
+        needed.append({p.child for s in supertiles for p in s.body})
     needed.reverse()
     if rule.dimension == 1:
         fuse, row = _fuse_words, {lab: (lab,) for lab in needed[0]}
@@ -292,18 +288,16 @@ def _fuse_tiles(body, prev) -> tuple[list[int], list[int], list[str], Optional[R
 
 def _shifts(body) -> list[tuple[str, int, int]]:
     """(child, dx, dy) per 2D placement: its offset minus the body's smallest
-    offset on each axis, so the supertile is anchored at its box corner. An
-    empty body, which the passes' callers reject (core._placed), has none."""
-    if not body:
-        return []
+    offset on each axis, so the supertile is anchored at its box corner.
+    Every body places a child, as FusionRule checks."""
     minx, miny = map(min, zip(*(p.offset for p in body)))
     return [(p.child, p.offset[0] - minx, p.offset[1] - miny) for p in body]
 
 
-def _prototile_runs(rule: FusionRule) -> dict[str, Optional[Runs]]:
-    """Each 2D prototile's row runs, None if a cell repeats: validate_rule,
-    which rejects such a shape, may not have run."""
-    return {p.name: _runs_of(p.cells or ()) for p in rule.prototiles}
+def _prototile_runs(rule: FusionRule) -> dict[str, Runs]:
+    """Each 2D prototile's row runs, those of the edge-connected cells that
+    FusionRule checks it has."""
+    return {p.name: _runs_of(p.cells) for p in rule.prototiles}
 
 
 def _run_rows(rule: FusionRule, top: int):

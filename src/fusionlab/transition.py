@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FusionRule, _fold_levels, _weighted_sums, resolve_level
-from .errors import InvalidRangeError
+from .errors import InvalidRangeError, UnknownLabelError
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,11 @@ class TransitionMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
     def entry(self, row_label: str, col_label: str) -> int:
-        return self.entries[self.row_labels.index(row_label)][self.col_labels.index(col_label)]
+        i = _index(self.row_labels, row_label, self.from_level)
+        return self.entries[i][_index(self.col_labels, col_label, self.to_level)]
 
     def column(self, col_label: str) -> tuple[int, ...]:
-        j = self.col_labels.index(col_label)
+        j = _index(self.col_labels, col_label, self.to_level)
         return tuple(row[j] for row in self.entries)
 
     def is_positive(self) -> bool:
@@ -51,7 +52,15 @@ class VolumeVector:
     values: tuple[Fraction, ...]
 
     def value(self, label: str) -> Fraction:
-        return self.values[self.labels.index(label)]
+        return self.values[_index(self.labels, label, self.level)]
+
+
+def _index(labels: tuple[str, ...], label: str, level: int) -> int:
+    """Position of label among a level's labels; UnknownLabelError if the
+    level lacks it."""
+    if label not in labels:
+        raise UnknownLabelError(label, level, labels)
+    return labels.index(label)
 
 
 def compose(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
@@ -89,13 +98,11 @@ def _column_rows(rule: FusionRule, n: int, N: int):
     if N < n or n < 0:
         raise InvalidRangeError(n, N)
     labels = resolve_level(rule, n).labels
-    zero = (0,) * len(labels)
     unit = {lab: tuple(int(i == j) for i in range(len(labels))) for j, lab in enumerate(labels)}
 
     def column(body, prev) -> tuple[int, ...]:
-        # zero sets the length, which an empty body would not
         parts = [prev[p.child] if p.repeat == 1 else [p.repeat * e for e in prev[p.child]] for p in body]
-        return tuple(map(sum, zip(zero, *parts)))
+        return tuple(map(sum, zip(*parts)))
 
     return _fold_levels(rule, N, unit, column, bottom=n)
 

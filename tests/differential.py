@@ -8,14 +8,18 @@ The first form prints one JSON record per call: the call, its arguments,
 and its value or the type and message of the error it raised (long values
 as a digest). The rules are the bundled ones plus N seeded random 1D rules
 and N seeded random 2D rules, shaped like the test strategies
-small_2d_rules and seam_2d_rules. Levels and labels out of range are
-called on purpose.
+small_2d_rules and seam_2d_rules. Each rule's construction is a record of
+its own, and a rule that is not built gets no other record. Levels and
+labels out of range are called on purpose.
 
 With --against, this script runs twice, with PYTHONHASHSEED=0: once on
 this checkout's src/ and once on REV's src/, unpacked by `git archive`
 into a temporary directory that is removed afterwards (nothing is written
-under .git). It prints the records that differ, grouped by call, and exits
-1 when any does. Standard library only; pytest does not collect it.
+under .git). It compares the records of the rules that both sides built
+and prints those that differ, grouped by call; then it lists the rules
+that only one side built, with the outcome kinds of that side's records.
+It exits 1 when either list is not empty. Standard library only; pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -57,11 +61,20 @@ class Recorder:
         self.out = out
 
     def __call__(self, rule_id: str, name: str, args: tuple, call):
+        """Record the outcome of call(); return its value, None if it raised."""
+        value = None
         try:
-            result = "= " + _show(call())
+            value = call()
+            result = "= " + _show(value)
         except Exception as e:  # every outcome is a record, errors included
             result = f"! {type(e).__name__}: {e}"
         self.out.write(json.dumps([rule_id, name, repr(args), result]) + "\n")
+        return value
+
+
+def _kind(result: str) -> str:
+    """An outcome's kind: "value" or the type of the error raised."""
+    return "value" if result[:1] == "=" else result[2:].split(":")[0]
 
 
 def _random_1d(F, rng: random.Random, i: int):
@@ -82,8 +95,8 @@ def _random_1d(F, rng: random.Random, i: int):
     ]
 
     def body():
-        # an empty body now and then, which validate_rule rejects but a
-        # rule built in Python may hold
+        # an empty body now and then, which FusionRule rejects: the rule is
+        # drawn all the same, so no later rule moves
         weights = [8, 2, 1, 1, 1]
         return tuple(
             F.Placement(rng.choice(names), rng.choices(repeats, weights)[0]())
@@ -97,7 +110,7 @@ def _random_1d(F, rng: random.Random, i: int):
         if rng.random() < 0.9 or name == names[0]:
             definitions.append(F.SupertileDef(name, body()))
     prototiles = tuple(F.Prototile(name, Fraction(rng.randint(1, 3))) for name in names)
-    return F.FusionRule(f"random1d{i}", 1, prototiles, tuple(definitions))
+    return lambda: F.FusionRule(f"random1d{i}", 1, prototiles, tuple(definitions))
 
 
 def _random_2d(F, rng: random.Random, i: int):
@@ -123,15 +136,15 @@ def _random_2d(F, rng: random.Random, i: int):
             body = tuple(body)
         definitions.append(F.SupertileDef(name, body))
     prototiles = tuple(F.Prototile(name, Fraction(1), cells=rng.choice(SHAPES)) for name in names)
-    return F.FusionRule(f"random2d{i}", 2, prototiles, tuple(definitions))
+    return lambda: F.FusionRule(f"random2d{i}", 2, prototiles, tuple(definitions))
 
 
 def _empty_2d(F):
-    """A 2D rule whose Q has an empty body, which validate_rule rejects but
-    a rule built in Python may hold; P places a Q beside itself."""
+    """A 2D rule whose Q has an empty body, which FusionRule rejects; P
+    places a Q beside itself."""
     body = tuple(F.Placement(child, F.Lit(1), (F.Lit(x), F.Lit(0))) for child, x in (("P", 0), ("Q", 1)))
     prototiles = tuple(F.Prototile(name, Fraction(1), cells=((0, 0),)) for name in "PQ")
-    return F.FusionRule("empty2d", 2, prototiles, (F.SupertileDef("P", body), F.SupertileDef("Q", ())))
+    return lambda: F.FusionRule("empty2d", 2, prototiles, (F.SupertileDef("P", body), F.SupertileDef("Q", ())))
 
 
 def _labels(F, rule, level) -> tuple:
@@ -221,12 +234,20 @@ def records(seed: int, count: int, out) -> None:
     import fusionlab as F
 
     rec = Recorder(out)
-    rules = [(name, F.load_builtin(name), 5 if F.load_builtin(name).dimension == 2 else 12) for name in F.builtin_names()]
+    # (rule id, a call that builds the rule, top level); every rule is drawn
+    # before any is built, so a rule that is not built moves no other
+    builds = [
+        (name, lambda name=name: F.load_builtin(name), 5 if F.load_builtin(name).dimension == 2 else 12)
+        for name in F.builtin_names()
+    ]
     rng = random.Random(seed)
-    rules += [(f"random1d{i}", _random_1d(F, rng, i), 6) for i in range(count)]
-    rules += [(f"random2d{i}", _random_2d(F, rng, i), 3) for i in range(count)]
-    rules.append(("empty2d", _empty_2d(F), 3))
-    for rid, rule, top in rules:
+    builds += [(f"random1d{i}", _random_1d(F, rng, i), 6) for i in range(count)]
+    builds += [(f"random2d{i}", _random_2d(F, rng, i), 3) for i in range(count)]
+    builds.append(("empty2d", _empty_2d(F), 3))
+    for rid, build, top in builds:
+        rule = rec(rid, "FusionRule", (), build)
+        if rule is None:
+            continue
         # each rule draws from its own stream, so one rule's calls cannot
         # shift another's arguments
         rule_rng = random.Random(f"{seed}:{rid}")
@@ -249,25 +270,53 @@ def against(rev: str, seed: int, count: int) -> int:
         if any(proc.returncode for proc in procs.values()):
             print("a recording run failed", file=sys.stderr)
             return 2
-    theirs, ours = ([json.loads(line) for line in outs[side].splitlines()] for side in (rev, "this"))
-    print(f"{len(ours)} records here, {len(theirs)} at {rev}")
-    if [r[:3] for r in ours] != [r[:3] for r in theirs]:
-        print("the two runs made different calls; compare their record lists directly")
+    theirs, ours = (_by_rule(outs[side]) for side in (rev, "this"))
+    print(f"{sum(map(len, ours.values()))} records here, {sum(map(len, theirs.values()))} at {rev}")
+    if list(ours) != list(theirs):
+        print("the two runs drew different rules; compare their record lists directly")
         return 1
     diffs = defaultdict(list)
-    for (rid, name, args, new), (_, _, _, old) in zip(ours, theirs):
-        if new != old:
-            diffs[name].append((rid, args, old, new))
+    one_sided = []  # (rule id, the side that built it, that side's records, the other's construction)
+    for rid, mine in ours.items():
+        old = theirs[rid]
+        built_here, built_there = (side[0][3].startswith("=") for side in (mine, old))
+        if built_here != built_there:
+            one_sided.append((rid, "this", mine, old[0][3]) if built_here else (rid, rev, old, mine[0][3]))
+            continue
+        if [r[:3] for r in mine] != [r[:3] for r in old]:
+            print(f"the two runs made different calls on {rid}; compare its records directly")
+            return 1
+        for (_, name, args, new), (_, _, _, prev) in zip(mine, old):
+            if new != prev:
+                diffs[name].append((rid, args, prev, new))
     for name, rows in sorted(diffs.items()):
-        # an outcome's kind: "value" or the type of the error raised
-        kinds = Counter(tuple("value" if r[:1] == "=" else r[2:].split(":")[0] for r in row[2:]) for row in rows)
+        kinds = Counter((_kind(old), _kind(new)) for _, _, old, new in rows)
         print(f"\n{name}: {len(rows)} records differ")
         for (old, new), n in kinds.most_common():
             print(f"  {n} x {rev}: {old} -> this: {new}")
         for rid, args, old, new in rows[:3]:
             print(f"  e.g. {rid} {args}\n    {rev}: {old}\n    this: {new}")
-    print(f"\n{sum(len(rows) for rows in diffs.values())} records differ")
-    return 1 if diffs else 0
+    print(f"\n{sum(len(rows) for rows in diffs.values())} records of the rules both sides built differ")
+    if one_sided:
+        total = Counter()
+        print(f"\n{len(one_sided)} rules built on one side only:")
+        for rid, side, built, rejected in one_sided:
+            kinds = Counter(_kind(r[3]) for r in built[1:])
+            total += kinds
+            shown = ", ".join(f"{n} {kind}" for kind, n in kinds.most_common())
+            print(f"  {rid}: {len(built) - 1} records at {side} ({shown}); the other side: {rejected}")
+        shown = ", ".join(f"{n} {kind}" for kind, n in total.most_common())
+        print(f"{sum(total.values())} records of these rules in all: {shown}")
+    return 1 if diffs or one_sided else 0
+
+
+def _by_rule(text: str) -> dict[str, list]:
+    """The records of a run by rule id, in the order the rules were drawn."""
+    rules: dict[str, list] = {}
+    for line in text.splitlines():
+        record = json.loads(line)
+        rules.setdefault(record[0], []).append(record)
+    return rules
 
 
 def main() -> int:

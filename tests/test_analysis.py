@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -259,22 +258,23 @@ class TestBoundaryBand:
             assert got == want if isinstance(got, tuple) else (got.ratios, got.max_labels) == want
 
     def gapped(self):
-        """A rule built in Python whose prototile D is two cells with a gap
-        between them; Q fills the gap at level 1, and each later D stacks
-        two copies of the one below."""
-        rule = parse_rule(
+        """A rule whose level-1 D, a prototile of the level-2 fusion step,
+        is two cells with a gap between them; Q fills the gap at level 2,
+        and each later D stacks two copies of the one below."""
+        return parse_rule(
             "rule gapped dim 2\n"
-            "prototile D cells (0,0) (1,0)\n"
+            "prototile D\n"
             "prototile Q\n"
             "level n == 1:\n"
+            "  D = D D@(2,0)\n"
+            "  Q = Q\n"
+            "level n == 2:\n"
             "  D = D Q@(1,0)\n"
             "  Q = Q\n"
             "level default:\n"
             "  D = D D@(0,h(D))\n"
             "  Q = Q\n"
         )
-        d, q = rule.prototiles
-        return dataclasses.replace(rule, prototiles=(dataclasses.replace(d, cells=((0, 0), (2, 0))), q))
 
     def join(self):
         """A rule whose level-1 P is two cells a column apart, joined into
@@ -306,12 +306,19 @@ class TestBoundaryBand:
                 tiles = reference_tiles(rule, level, label)
                 cells = {(x + cx, y + cy) for (x, y), lab in tiles for cx, cy in rule.prototile(lab).cells}
                 assert row[label] == runs_of(cells)
+                if level:
+                    for r in (1, 2, 3):
+                        assert analysis._boundary_band_2d(row[label], r) == _brute_band(cells, r)
+            if level == 1:
+                assert row["D"] == {0: ((0, 0), (2, 2))}
         for r in (1, 2, 3):
-            rep = van_hove_diagnostic(rule, 4, r)
-            assert (rep.ratios, rep.max_labels) == brute_van_hove(rule, 4, r)
+            # the gap is met at level 1, as an expansion meets it
+            got = outcome(lambda: van_hove_diagnostic(rule, 4, r))
+            assert got == outcome(lambda: brute_van_hove(rule, 4, r)) == (DisconnectedError, {"component_sizes": (1, 1)})
 
     def test_max_cells_caps_only_the_overlap_expansion(self):
-        assert van_hove_diagnostic(self.gapped(), 4, max_cells=1) == van_hove_diagnostic(self.gapped(), 4)
+        chair = load_builtin("chair")
+        assert van_hove_diagnostic(chair, 4, max_cells=1) == van_hove_diagnostic(chair, 4)
         # level-2 P of the late rule, where its tiles overlap, has 6 cells
         with pytest.raises(ExpansionTooLargeError) as exc:
             van_hove_diagnostic(self.late(), 2, max_cells=5)
@@ -470,6 +477,13 @@ class TestErgodicity:
     def test_depth_must_exceed_level(self):
         with pytest.raises(InvalidRangeError):
             ergodicity_report(load_builtin("fibonacci"), 4, 4)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_must_be_positive(self, window):
+        # diameters[-0:] would be the whole sequence, and a verdict of
+        # "multiple" on ten_pow_n would read no trailing window at all
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+            ergodicity_report(load_builtin("ten_pow_n"), 0, 8, window=window)
 
 
 class TestWordCount:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from dataclasses import fields
@@ -30,7 +31,7 @@ from fusionlab.core import (
     validate_rule,
 )
 from fusionlab.dsl import parse_rule
-from fusionlab.errors import NegativeExponentError, UnknownDimensionError
+from fusionlab.errors import NegativeExponentError, UnknownDimensionError, ValidationError
 from fusionlab.expand import cell_count, tile_count
 from fusionlab.transition import transition_matrix
 
@@ -91,18 +92,12 @@ class TestEvalGuard:
 
     @pytest.mark.parametrize("base", [0, 1])
     def test_ispow_base_below_two_raises(self, base):
-        # base 1 would loop forever, base 0 divide by zero
+        # base 1 would loop forever in eval_guard, base 0 divide by zero, so
+        # no such guard is built
+        with pytest.raises(ValueError, match=f"ispow base must be >= 2, got {base}"):
+            IsPow(base, Var())
         with pytest.raises(ValueError, match="ispow base must be >= 2"):
-            eval_guard(IsPow(base, Var()), 3)
-
-    def test_unvalidated_rule_with_bad_ispow_base(self):
-        rule = FusionRule(
-            "r", 1,
-            (Prototile("A"),),
-            (SupertileDef("A", (Placement("A"),), IsPow(0, Var())), SupertileDef("A", (Placement("A"),))),
-        )
-        with pytest.raises(ValueError, match="ispow base"):
-            resolve_level(rule, 1)
+            dataclasses.replace(IsPow(2, Var()), base=base)
 
     def test_boolean_connectives(self):
         g = Or(Cmp("==", Var(), Lit(1)), IsPow(3, Var()))
@@ -265,6 +260,14 @@ class TestLevelSizes:
         assert sizes == {"AA": (5, 5), "AB": (5, 3), "BA": (3, 5), "BB": (3, 3)}
 
 
+def structure_diagnostics(*fields):
+    """The diagnostics of the ValidationError that building FusionRule(*fields)
+    raises: a rule's structure is checked on construction."""
+    with pytest.raises(ValidationError) as exc:
+        FusionRule(*fields)
+    return exc.value.diagnostics
+
+
 class TestValidateRule:
     def test_builtins_clean(self):
         for name in ("thue_morse", "fibonacci", "fiblike", "ten_pow_n", "chair", "fib2d"):
@@ -310,63 +313,62 @@ class TestValidateRule:
         assert diags[0].level == 3
 
     def test_duplicate_prototile(self):
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 1,
             (Prototile("A"), Prototile("A")),
             (SupertileDef("A", (Placement("A"),)),),
         )
-        assert "duplicate-prototile" in [d.code for d in validate_rule(rule, 2)]
+        assert "duplicate-prototile" in [d.code for d in diags]
 
     def test_nonpositive_volume(self):
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 1,
             (Prototile("A", volume=Fraction(0)),),
             (SupertileDef("A", (Placement("A"),)),),
         )
-        assert "bad-volume" in [d.code for d in validate_rule(rule, 2)]
+        assert "bad-volume" in [d.code for d in diags]
 
     def test_disconnected_prototile(self):
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 2,
             (Prototile("A", volume=Fraction(2), cells=((0, 0), (2, 0))),),
             (SupertileDef("A", (Placement("A", offset=(Lit(0), Lit(0))),)),),
         )
-        assert "bad-shape" in [d.code for d in validate_rule(rule, 1)]
+        assert "bad-shape" in [d.code for d in diags]
 
     def test_2d_prototile_without_cells(self):
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 2,
             (Prototile("P"),),
             (SupertileDef("P", (Placement("P", offset=(Lit(0), Lit(0))),)),),
         )
-        diags = validate_rule(rule, 1)
         assert [d.code for d in diags] == ["bad-shape"] and "has no cells" in diags[0].message
 
     def test_unanchored_prototile(self):
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 2,
             (Prototile("A", volume=Fraction(2), cells=((1, 1), (1, 2))),),
             (SupertileDef("A", (Placement("A", offset=(Lit(0), Lit(0))),)),),
         )
-        assert [d.code for d in validate_rule(rule, 1)] == ["bad-shape"]
+        assert [d.code for d in diags] == ["bad-shape"]
 
     @pytest.mark.parametrize("base", [0, 1])
     def test_ispow_base_below_two(self, base):
-        # base 1 would loop forever in eval_guard, base 0 divide by zero
-        rule = FusionRule(
-            "r", 1,
-            (Prototile("A"),),
-            (
-                SupertileDef("A", (Placement("A"),), Not(IsPow(base, Var()))),
-                SupertileDef("A", (Placement("A"),)),
-            ),
-        )
-        diags = validate_rule(rule, 4)
-        assert [d.code for d in diags] == ["bad-ispow"] and diags[0].label == "A"
+        # base 1 would loop forever in eval_guard, base 0 divide by zero, so
+        # a rule cannot hold such a guard: building the guard raises
+        with pytest.raises(ValueError, match=f"ispow base must be >= 2, got {base}"):
+            FusionRule(
+                "r", 1,
+                (Prototile("A"),),
+                (
+                    SupertileDef("A", (Placement("A"),), Not(IsPow(base, Var()))),
+                    SupertileDef("A", (Placement("A"),)),
+                ),
+            )
 
     def test_repeat_in_2d_rejected(self):
         cell = ((0, 0),)
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 2,
             (Prototile("P", cells=cell), Prototile("Q", cells=cell)),
             (
@@ -374,25 +376,60 @@ class TestValidateRule:
                 SupertileDef("Q", (Placement("Q", offset=(Lit(0), Lit(0))),)),
             ),
         )
-        diags = validate_rule(rule, 4)
         assert [d.code for d in diags] == ["repeat-in-2d"] and diags[0].label == "P"
 
     def test_no_offset_in_2d_rejected(self):
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 2,
             (Prototile("P", cells=((0, 0),)),),
             (SupertileDef("P", (Placement("P", offset=(Lit(0), Lit(0))), Placement("P"))),),
         )
-        diags = validate_rule(rule, 4)
         assert [d.code for d in diags] == ["no-offset-in-2d"] and diags[0].label == "P"
 
     def test_offset_in_1d_rejected(self):
-        rule = FusionRule(
+        diags = structure_diagnostics(
             "r", 1,
             (Prototile("A"),),
             (SupertileDef("A", (Placement("A", offset=(Lit(0), Lit(0))),)),),
         )
-        assert "offset-in-1d" in [d.code for d in validate_rule(rule, 1)]
+        assert "offset-in-1d" in [d.code for d in diags]
+
+    def test_empty_1d_body_rejected(self):
+        # built, this rule made van_hove_diagnostic divide by a length of 0
+        # and expand_supertile return an empty patch for B at level 1
+        diags = structure_diagnostics(
+            "e", 1,
+            (Prototile("A"), Prototile("B")),
+            (SupertileDef("A", (Placement("A"),)), SupertileDef("B", ())),
+        )
+        assert [(d.code, d.label) for d in diags] == [("empty-body", "B")]
+
+    def test_replace_is_checked(self):
+        # dataclasses.replace builds a new rule, so it cannot smuggle in a
+        # shape that the constructor rejects
+        chair = load_builtin("chair")
+        gapped = tuple(dataclasses.replace(p, cells=((0, 0), (2, 0))) for p in chair.prototiles)
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(chair, prototiles=gapped)
+        assert [(d.code, d.message) for d in exc.value.diagnostics] == [
+            ("bad-shape", f"prototile {p.name!r} is not edge-connected") for p in chair.prototiles
+        ]
+
+    def test_diagnostics_in_order(self):
+        # every structural fault at once, prototiles first, then bodies in
+        # declaration order
+        diags = structure_diagnostics(
+            "r", 1,
+            (Prototile("A"), Prototile("A", volume=Fraction(-1)), Prototile("C", cells=((0, 0),))),
+            (
+                SupertileDef("A", ()),
+                SupertileDef("C", (Placement("A", offset=(Lit(0), Lit(0))),)),
+            ),
+        )
+        assert [(d.code, d.label) for d in diags] == [
+            ("duplicate-prototile", None), ("bad-volume", None), ("bad-shape", None),
+            ("empty-body", "A"), ("offset-in-1d", "C"),
+        ]
 
     def test_invalid_repeat(self):
         rule = FusionRule(

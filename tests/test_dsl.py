@@ -163,6 +163,23 @@ class TestParseErrors:
             parse_rule("rule r dim 1 prototile A\n")
         assert any(d.code == "empty-level" for d in ei.value.diagnostics)
 
+    def test_structural_faults_raise_while_parsing(self):
+        # the constructor checks the structure, so parse_rule_text raises
+        # the ValidationError that parse_rule raises, in the same order
+        text = (
+            "rule r dim 2\n"
+            "prototile A cells (0,0) (2,0)\n"
+            "prototile A\n"
+            "prototile B volume 0\n"
+            "level default: A = A\n"
+        )
+        with pytest.raises(ValidationError) as syntax_only:
+            parse_rule_text(text)
+        with pytest.raises(ValidationError) as full:
+            parse_rule(text)
+        assert syntax_only.value.diagnostics == full.value.diagnostics
+        assert [d.code for d in full.value.diagnostics] == ["bad-shape", "duplicate-prototile", "bad-volume"]
+
     def test_undefined_child_flagged(self):
         with pytest.raises(ValidationError) as ei:
             parse_rule("rule r dim 1 prototile A level default: A = Q\n")
@@ -242,6 +259,9 @@ def test_parser_total_on_arbitrary_text(text):
         assert e.diagnostics
         for d in e.diagnostics:
             assert d.span.line >= 1 and d.span.column >= 1 and d.span.offset >= 0
+    except ValidationError as e:
+        # a rule whose structure its constructor rejects
+        assert e.diagnostics
 
 
 @settings(max_examples=300, deadline=None)
@@ -251,8 +271,9 @@ def test_parser_total_on_arbitrary_text(text):
     ch=st.characters(codec="ascii"),
 )
 def test_mutated_rule_files_parse_or_diagnose(name, pos, ch):
-    """Single-character mutations either still parse or fail with a
-    diagnostic whose span lies inside the text."""
+    """Single-character mutations either still parse, fail with a
+    diagnostic whose span lies inside the text, or name a rule whose
+    structure its constructor rejects."""
     text = builtin_text(name)
     pos %= len(text)
     mutated = text[:pos] + ch + text[pos + 1 :]
@@ -263,5 +284,8 @@ def test_mutated_rule_files_parse_or_diagnose(name, pos, ch):
         assert 0 <= d.span.offset <= len(mutated.encode("utf-8"))
         lines = mutated.split("\n")
         assert 1 <= d.span.line <= len(lines) + 1
+    except ValidationError as e:
+        # say a prototile renamed to its neighbour's name
+        assert e.diagnostics
     except RecursionError:
         pytest.fail("parser must not blow the stack on small inputs")

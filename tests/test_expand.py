@@ -17,11 +17,10 @@ from fusionlab.core import (
     level_sizes,
     resolve_level,
 )
-from fusionlab.analysis import van_hove_diagnostic, word_count
+from fusionlab.analysis import word_count
 from fusionlab.dsl import parse_rule
-from fusionlab.transition import transition_matrix
 from fusionlab import core, expand
-from fusionlab.errors import DisconnectedError, EmptySupertileError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError
+from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError, ValidationError
 from fusionlab.expand import (
     CellPatch,
     cell_count,
@@ -351,34 +350,18 @@ class TestFlatExpansion:
         assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
 
 
-EMPTY_2D = FusionRule(
-    "empty", 2,
-    (Prototile("P", cells=((0, 0),)), Prototile("Q", cells=((0, 0),))),
-    (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))), Placement("Q", Lit(1), (Lit(1), Lit(0))))),
-     SupertileDef("Q", ())),
-)
-
-
 class TestEmptySupertile:
-    """validate_rule rejects an empty body; a rule built in Python may hold one."""
-
-    @pytest.mark.parametrize("call", [
-        lambda: expand_supertile(EMPTY_2D, 2, "P"),
-        lambda: expand_supertile(EMPTY_2D, 1, "Q"),
-        lambda: van_hove_diagnostic(EMPTY_2D, 2),
-        lambda: level_sizes(EMPTY_2D, 1),
-    ])
-    def test_2d_passes_name_the_empty_supertile(self, call):
-        with pytest.raises(EmptySupertileError, match="'Q' at level 1") as info:
-            call()
-        assert isinstance(info.value, ValueError)
-        assert (info.value.label, info.value.level) == ("Q", 1)
-
-    def test_counts_still_answer(self):
-        assert cell_count(EMPTY_2D, 1, "Q") == 0
-        assert cell_count(EMPTY_2D, 2, "P") == 2
-        assert transition_matrix(EMPTY_2D, 0, 1).column("Q") == (0, 0)
-        assert expand_supertile(EMPTY_2D, 1, "P").cells == (((0, 0), "P"), ((1, 0), "Q"))
+    def test_empty_2d_body_is_rejected_on_construction(self):
+        # so no 2D pass meets a supertile with no cells to anchor, box or
+        # expand
+        with pytest.raises(ValidationError) as exc:
+            FusionRule(
+                "empty", 2,
+                (Prototile("P", cells=((0, 0),)), Prototile("Q", cells=((0, 0),))),
+                (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))), Placement("Q", Lit(1), (Lit(1), Lit(0))))),
+                 SupertileDef("Q", ())),
+            )
+        assert [(d.code, d.label) for d in exc.value.diagnostics] == [("empty-body", "Q")]
 
 
 class TestRowRunConnectivity:
@@ -438,15 +421,14 @@ class TestFusionStepProof:
             CellPatch.from_tiles(rule, reference_tiles(rule, 2, "P"))
         assert vars(exc.value) == vars(want.value) == {"first_child": 1, "second_child": 2, "cell": (2, 0)}
 
-    def test_repeated_prototile_cell_raises_at_level_0(self):
-        # built in Python, so validate_rule never saw the shape
-        rule = FusionRule(
-            "twice", 2, (Prototile("P", Fraction(2), cells=((0, 0), (0, 0))),),
-            (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))),)),),
-        )
-        with pytest.raises(OverlapError) as exc:
-            expand_supertile(rule, 0, "P")
-        assert vars(exc.value) == {"first_child": 0, "second_child": 0, "cell": (0, 0)}
+    def test_repeated_prototile_cell_is_rejected_on_construction(self):
+        # so a level-0 expansion never meets a shape that overlaps itself
+        with pytest.raises(ValidationError) as exc:
+            FusionRule(
+                "twice", 2, (Prototile("P", Fraction(2), cells=((0, 0), (0, 0))),),
+                (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))),)),),
+            )
+        assert [(d.code, d.message) for d in exc.value.diagnostics] == [("bad-shape", "prototile 'P' repeats a cell")]
 
     def test_bundled_rules_expand_without_cell_checks(self, monkeypatch):
         rules = {"chair": (load_builtin("chair"), 6), "fib2d": (load_builtin("fib2d"), 8)}

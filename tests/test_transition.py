@@ -7,7 +7,7 @@ import pytest
 from fusionlab.builtins import builtin_names, builtin_text, load_builtin
 from fusionlab.core import FusionRule, Placement, Prototile, SupertileDef
 from fusionlab.dsl import parse_rule
-from fusionlab.errors import InvalidRangeError
+from fusionlab.errors import InvalidRangeError, UnknownLabelError, ValidationError
 from fusionlab.expand import cell_count, expand_supertile, tile_census
 from fusionlab.transition import compose, step_matrix, transition_matrix, volumes
 
@@ -140,6 +140,21 @@ class TestCensusAgreement:
                     assert census.get(proto, 0) == m.column(lab)[i]
 
 
+@pytest.mark.parametrize("lookup, label, level", [
+    (lambda: transition_matrix(load_builtin("fiblike"), 1, 2).entry("Z", "A"), "Z", 1),
+    (lambda: transition_matrix(load_builtin("fiblike"), 1, 2).entry("A", "Z"), "Z", 2),
+    (lambda: transition_matrix(load_builtin("fiblike"), 0, 1).entry("A", "T"), "T", 1),
+    (lambda: transition_matrix(load_builtin("fiblike"), 1, 2).column("Z"), "Z", 2),
+    (lambda: volumes(load_builtin("fiblike"), 3).value("T"), "T", 3),
+], ids=["entry-row", "entry-column", "entry-absent-label", "column", "volume"])
+def test_unknown_label_names_its_level(lookup, label, level):
+    with pytest.raises(UnknownLabelError) as exc:
+        lookup()
+    assert (exc.value.label, exc.value.level) == (label, level)
+    assert isinstance(exc.value, KeyError)
+    assert f"no supertile {label!r} at level {level}" in str(exc.value)
+
+
 def test_bundled_rule_table_is_freed_with_the_rule():
     rule = load_builtin("fibonacci")
     transition_matrix(rule, 0, 3000)
@@ -148,8 +163,9 @@ def test_bundled_rule_table_is_freed_with_the_rule():
     assert ref() is None
 
 
-def test_empty_body_has_a_zero_column():
-    # validate_rule rejects an empty body, but a rule built in Python may hold one
+def test_empty_body_is_rejected_on_construction():
+    # so every column of a matrix sums at least one child column
     defs = (SupertileDef("A", (Placement("A"), Placement("B"))), SupertileDef("B", ()))
-    rule = FusionRule("empty", 1, (Prototile("A"), Prototile("B")), defs)
-    assert transition_matrix(rule, 0, 2).entries == ((1, 0), (1, 0))
+    with pytest.raises(ValidationError) as exc:
+        FusionRule("empty", 1, (Prototile("A"), Prototile("B")), defs)
+    assert [(d.code, d.label) for d in exc.value.diagnostics] == [("empty-body", "B")]
