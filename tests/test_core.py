@@ -99,6 +99,20 @@ class TestEvalGuard:
         with pytest.raises(ValueError, match="ispow base must be >= 2"):
             dataclasses.replace(IsPow(2, Var()), base=base)
 
+    def test_unvalidated_rule_with_bad_ispow_base(self):
+        # a rule built in Python skips validate_rule, yet resolve_level still
+        # meets only bases >= 2: a base below 2 is refused with the guard
+        def rule(base):
+            return FusionRule(
+                "r", 1,
+                (Prototile("A"),),
+                (SupertileDef("A", (Placement("A"),), IsPow(base, Var())), SupertileDef("A", (Placement("A"), Placement("A")))),
+            )
+
+        assert [len(resolve_level(rule(2), n).supertiles[0].body) for n in (2, 3, 4)] == [1, 2, 1]
+        with pytest.raises(ValueError, match="ispow base"):
+            rule(0)
+
     def test_boolean_connectives(self):
         g = Or(Cmp("==", Var(), Lit(1)), IsPow(3, Var()))
         assert eval_guard(g, 1) and eval_guard(g, 3) and not eval_guard(g, 2)

@@ -17,7 +17,7 @@ from fusionlab.core import (
     level_sizes,
     resolve_level,
 )
-from fusionlab.analysis import word_count
+from fusionlab.analysis import van_hove_diagnostic, word_count
 from fusionlab.dsl import parse_rule
 from fusionlab import core, expand
 from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, FusionError, OverlapError, UnknownLabelError, ValidationError
@@ -35,6 +35,7 @@ from fusionlab.expand import (
     tile_count,
     word_string,
 )
+from fusionlab.transition import transition_matrix
 
 ONE_D = ("thue_morse", "fibonacci", "fiblike", "ten_pow_n")
 
@@ -350,18 +351,43 @@ class TestFlatExpansion:
         assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
 
 
+def bar_2d(q_body=(Placement("Q", Lit(1), (Lit(0), Lit(0))),)):
+    """P fuses P and, to its right, Q; Q fuses `q_body`. With the default body
+    the level-n P is a bar of n + 1 cells and Q stays one cell."""
+    return FusionRule(
+        "bar", 2,
+        (Prototile("P", cells=((0, 0),)), Prototile("Q", cells=((0, 0),))),
+        (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))), Placement("Q", Lit(1), (Dim("w", "P"), Lit(0))))),
+         SupertileDef("Q", q_body)),
+    )
+
+
 class TestEmptySupertile:
-    def test_empty_2d_body_is_rejected_on_construction(self):
-        # so no 2D pass meets a supertile with no cells to anchor, box or
-        # expand
+    """FusionRule rejects an empty body, so no pass meets a supertile with no cells."""
+
+    @pytest.mark.parametrize("call", [
+        lambda rule: expand_supertile(rule, 2, "P"),
+        lambda rule: expand_supertile(rule, 1, "Q"),
+        lambda rule: van_hove_diagnostic(rule, 2),
+        lambda rule: level_sizes(rule, 1),
+    ])
+    def test_2d_passes_name_the_empty_supertile(self, call):
+        # the constructor names Q before the pass can run; once Q's body
+        # holds a tile the same pass answers
         with pytest.raises(ValidationError) as exc:
-            FusionRule(
-                "empty", 2,
-                (Prototile("P", cells=((0, 0),)), Prototile("Q", cells=((0, 0),))),
-                (SupertileDef("P", (Placement("P", Lit(1), (Lit(0), Lit(0))), Placement("Q", Lit(1), (Lit(1), Lit(0))))),
-                 SupertileDef("Q", ())),
-            )
+            call(bar_2d(q_body=()))
         assert [(d.code, d.label) for d in exc.value.diagnostics] == [("empty-body", "Q")]
+        call(bar_2d())
+
+    def test_counts_still_answer(self):
+        # what an empty Q once answered with zeros, on the rule whose Q holds
+        # one tile
+        rule = bar_2d()
+        assert cell_count(rule, 1, "Q") == 1
+        assert cell_count(rule, 2, "P") == 3
+        assert transition_matrix(rule, 0, 1).column("Q") == (0, 1)
+        assert expand_supertile(rule, 1, "P").cells == (((0, 0), "P"), ((1, 0), "Q"))
+        assert expand_supertile(rule, 2, "P").cells == (((0, 0), "P"), ((1, 0), "Q"), ((2, 0), "Q"))
 
 
 class TestRowRunConnectivity:
@@ -641,8 +667,6 @@ class TestAdmissibility:
 
 class TestOccurrences2D:
     def test_counts_match_transition_column(self):
-        from fusionlab.transition import transition_matrix
-
         chair = load_builtin("chair")
         big = expand_supertile(chair, 2, "NE")
         m = transition_matrix(chair, 0, 2)
