@@ -1,15 +1,19 @@
 """Diagnostics over fusion rules: primitivity, van Hove boundary ratios,
 frequency hulls, ergodicity verdicts, and patch-frequency estimation.
 
-Everything here is exact rational arithmetic on top of the transition
-matrices, which primitivity and ergodicity read horizon by horizon from
-one fold of columns; floats appear only when callers pass float
-tolerances (compared against Fractions, which Python does exactly).
+Everything here is exact arithmetic on top of the transition matrices,
+which primitivity and ergodicity read horizon by horizon from one fold of
+integer columns. A float tolerance is read as the Fraction of its decimal
+text before anything is compared with it.
 
 The frequency hull at (n, N) is the set of volume-normalized columns of
 M_{n,N}: every achievable level-n frequency vector, as seen from horizon N,
 is a convex combination of these vertices. A hull shrinking to a point is
-evidence (never proof, at finite depth) of a unique frequency measure.
+evidence (never proof, at finite depth) of a unique frequency measure. The
+hull sweep compares pair distances in integers, over the columns and the
+numerators and denominators of the volumes, and normalizes one Fraction per
+horizon, its diameter; vertex Fractions are built only where a result
+returns them.
 
 A 2D van Hove ratio is read from the supertile's row runs, which one
 fold over the levels merges from the children's runs, so its cost grows
@@ -24,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .core import FusionRule, Runs, _entry, resolve_level
@@ -38,7 +43,7 @@ from .expand import (
     expand_supertile,
     occurrences_2d,
 )
-from .transition import TransitionMatrix, _column_rows, _matrix, transition_matrix, volumes
+from .transition import _column_rows, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +229,70 @@ class FrequencyHull:
     centroid: tuple[Fraction, ...]
 
 
-def _widest_pair(vertices, vol_n) -> tuple[Fraction, int, int]:
-    """The largest volume-weighted L1 distance between two vertices and the
-    first pair (a, b) attaining it; (0, 0, 0) for a single vertex."""
-    pairs = (
-        (sum(vol_n[i] * abs(vertices[a][i] - vertices[b][i]) for i in range(len(vol_n))), a, b)
-        for a in range(len(vertices))
-        for b in range(a + 1, len(vertices))
-    )
-    return max(pairs, key=lambda pair: pair[0], default=(Fraction(0), 0, 0))
+def _widest_pair(cols, vol_n, vol_N) -> tuple[Fraction, int, int]:
+    """The largest volume-weighted L1 distance between two vertices of the
+    hull of the columns cols and the first pair (a, b) attaining it;
+    (0, 0, 0) for a single vertex.
+
+    With vol_n[i] = w_i/L over one denominator L and vol_N[j] = p_j/q_j,
+    vertex j is M_ij q_j/p_j, so the distance of (a, b) is
+        sum_i w_i |M_ia q_a p_b' - M_ib q_b p_a'| / (L g p_a' p_b')
+    where g = gcd(p_a, p_b), p_a = g p_a' and p_b = g p_b'. Pairs are
+    compared in integers by cross-multiplication, and only the widest
+    becomes a Fraction.
+    """
+    L = lcm(*(v.denominator for v in vol_n))
+    w = [v.numerator * (L // v.denominator) for v in vol_n]
+    best = None
+    for a in range(len(cols)):
+        for b in range(a + 1, len(cols)):
+            pa, pb = vol_N[a].numerator, vol_N[b].numerator
+            g = gcd(pa, pb)
+            pa, pb = pa // g, pb // g
+            ka, kb = vol_N[a].denominator * pb, vol_N[b].denominator * pa
+            num = sum(wi * abs(x * ka - y * kb) for wi, x, y in zip(w, cols[a], cols[b]))
+            den = g * pa * pb
+            if best is None or num * best[1] > best[0] * den:
+                best = (num, den, a, b)
+    if best is None:
+        return Fraction(0), 0, 0
+    num, den, a, b = best
+    return Fraction(num, L * den), a, b
 
 
-def _hull(m: TransitionMatrix, vol_n, vol_N) -> tuple[FrequencyHull, int, int]:
-    """The hull of M_{n,N} and the pair of vertices realizing its diameter."""
-    vertices = tuple(
-        tuple(m.entries[i][j] / vol_N[j] for i in range(len(m.row_labels)))
-        for j in range(len(m.col_labels))
-    )
-    diameter, a, b = _widest_pair(vertices, vol_n)
+def _vertex(col, vol: Fraction, vol_n, memo: dict) -> tuple[Fraction, ...]:
+    """A column over its supertile's volume. Equal (count, volume) pairs of
+    one horizon share the Fraction kept in memo. A vertex is volume
+    normalized, sum_i vol_n[i] v_i = 1, so the second of two coordinates is
+    (1 - vol_n[0] v_0) / vol_n[1], with no gcd at the size of the column."""
+    out = []
+    for i, x in enumerate(col):
+        if (x, vol) not in memo:
+            if i == 1 and len(col) == 2:
+                memo[x, vol] = (1 - vol_n[0] * out[0]) / vol_n[1]
+            else:
+                memo[x, vol] = x / vol
+        out.append(memo[x, vol])
+    return tuple(out)
+
+
+def _hull(n: int, N: int, labels, cols: dict, vol_n, vol_N, diameter: Fraction) -> FrequencyHull:
+    """The hull of M_{n,N} from its columns by label and its diameter."""
+    memo: dict = {}
+    vertices = tuple(_vertex(col, vol, vol_n, memo) for col, vol in zip(cols.values(), vol_N))
     k = len(vertices)
-    centroid = tuple(
-        sum((v[i] for v in vertices), Fraction(0)) / k for i in range(len(vol_n))
-    )
-    hull = FrequencyHull(m.from_level, m.to_level, m.row_labels, m.col_labels, vertices, diameter, centroid)
-    return hull, a, b
+    centroid = tuple(sum((v[i] for v in vertices), Fraction(0)) / k for i in range(len(labels)))
+    return FrequencyHull(n, N, labels, tuple(cols), vertices, diameter, centroid)
 
 
 def frequency_hull(rule: FusionRule, n: int, N: int) -> FrequencyHull:
     """Volume-normalized columns of M_{n,N} plus diameter and centroid."""
     if N <= n:
         raise InvalidRangeError(n, N)
-    m = transition_matrix(rule, n, N)
-    return _hull(m, volumes(rule, n).values, volumes(rule, N).values)[0]
+    cols = deque(_column_rows(rule, n, N), maxlen=1)[0]
+    vol_n, vol_N = volumes(rule, n).values, volumes(rule, N).values
+    diameter, _, _ = _widest_pair(tuple(cols.values()), vol_n, vol_N)
+    return _hull(n, N, resolve_level(rule, n).labels, cols, vol_n, vol_N, diameter)
 
 
 @dataclass(frozen=True)
@@ -277,6 +314,11 @@ class ErgodicityReport:
     ] = None
 
 
+def _exact(x: Union[Fraction, float]) -> Fraction:
+    """A tolerance as the Fraction of its decimal text: 0.1 is 1/10."""
+    return x if isinstance(x, Fraction) else Fraction(str(x))
+
+
 def ergodicity_report(
     rule: FusionRule,
     n: int,
@@ -289,36 +331,44 @@ def ergodicity_report(
 
     unique: the final diameter is below tol. multiple: every diameter in
     the trailing window stays above floor (slow contractions stay
-    undecided). Verdicts are finite-depth diagnostics, not proofs. window
-    must be at least 1.
+    undecided). A float tol or floor is read as its decimal text (0.1 is
+    1/10), and the report stores that tol. Verdicts are finite-depth
+    diagnostics, not proofs. window must be at least 1.
+
+    Each horizon costs one Fraction, its diameter (_widest_pair). Vertex
+    Fractions are built for the hull at depth and, when the verdict is
+    multiple, for the two trajectory vertices of every horizon.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if depth <= n:
         raise InvalidRangeError(n, depth)
-    horizons = tuple(range(n + 1, depth + 1))
+    tol, floor = _exact(tol), _exact(floor)
     vol_n = volumes(rule, n).values
-    labels = resolve_level(rule, n).labels
-    hulls = [  # (hull, a, b) per horizon, from one fold of columns
-        _hull(_matrix(n, N, labels, cols), vol_n, volumes(rule, N).values)
-        for N, cols in enumerate(_column_rows(rule, n, depth), n)
-        if N > n
-    ]
-    diameters = tuple(h.diameter for h, _, _ in hulls)
+    diameters = []
+    ends = []  # per horizon, (label, column, volume) of both ends of the widest pair
+    for N, cols in enumerate(islice(_column_rows(rule, n, depth), 1, None), n + 1):
+        vol_N = volumes(rule, N).values
+        labels_N, cols_N = tuple(cols), tuple(cols.values())
+        diameter, a, b = _widest_pair(cols_N, vol_n, vol_N)
+        diameters.append(diameter)
+        ends.append(tuple((labels_N[j], cols_N[j], vol_N[j]) for j in (a, b)))
+    # the loop leaves the last horizon's columns, volumes and diameter
+    hull = _hull(n, depth, resolve_level(rule, n).labels, cols, vol_n, vol_N, diameter)
+    trajectories = None
     if diameters[-1] < tol:
         verdict = "unique"
-        trajectories = None
     elif all(d > floor for d in diameters[-window:]):
         verdict = "multiple"
-        trajectories = (
-            tuple((h.vertex_labels[a], h.vertices[a]) for h, a, _ in hulls),
-            tuple((h.vertex_labels[b], h.vertices[b]) for h, _, b in hulls),
-        )
+        steps = []
+        for step in ends:
+            memo: dict = {}  # shared by both ends of one horizon
+            steps.append(tuple((label, _vertex(col, vol, vol_n, memo)) for label, col, vol in step))
+        trajectories = tuple(zip(*steps))
     else:
         verdict = "undecided"
-        trajectories = None
-    tol_frac = tol if isinstance(tol, Fraction) else Fraction(str(tol))
-    return ErgodicityReport(n, depth, tol_frac, horizons, diameters, verdict, hulls[-1][0], trajectories)
+    horizons = tuple(range(n + 1, depth + 1))
+    return ErgodicityReport(n, depth, tol, horizons, tuple(diameters), verdict, hull, trajectories)
 
 
 # ---------------------------------------------------------------------------

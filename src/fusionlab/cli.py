@@ -25,7 +25,7 @@ from . import analysis, dsl, expand, transition
 from .builtins import BUILTIN_RULES, builtin_names, builtin_text, load_builtin
 from .core import FusionRule, resolve_level
 from .dsl import _frac_str
-from .errors import FusionError, ParseError, ValidationError
+from .errors import FusionError, ParseError, ValidationError, _decimal
 
 SCHEMA = "fusionlab/1"
 
@@ -172,12 +172,12 @@ def _cmd_matrix(args):
         "to_level": str(m.to_level),
         "row_labels": list(m.row_labels),
         "col_labels": list(m.col_labels),
-        "entries": [[str(e) for e in row] for row in m.entries],
+        "entries": [[_decimal(e) for e in row] for row in m.entries],
     }
-    width = max(len(str(e)) for row in m.entries for e in row)
+    width = max(len(e) for row in result["entries"] for e in row)
     lines = [f"M[{m.from_level} -> {m.to_level}]  columns: {' '.join(m.col_labels)}"]
-    for lab, row in zip(m.row_labels, m.entries):
-        lines.append(f"  {lab}: " + " ".join(str(e).rjust(width) for e in row))
+    for lab, row in zip(m.row_labels, result["entries"]):
+        lines.append(f"  {lab}: " + " ".join(e.rjust(width) for e in row))
     return result, "\n".join(lines)
 
 

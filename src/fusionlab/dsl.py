@@ -49,7 +49,7 @@ from .core import (
     SupertileDef,
     Var,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _decimal
 
 RESERVED = {
     "rule", "dim", "prototile", "volume", "cells", "level",
@@ -538,8 +538,10 @@ def format_guard(g: Guard) -> str:
 
 
 def _frac_str(v: Fraction) -> str:
-    """A rational as "p/q", or as "p" when the denominator is 1."""
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    """A rational as "p/q", or as "p" when the denominator is 1, at any size."""
+    if v.denominator == 1:
+        return _decimal(v.numerator)
+    return f"{_decimal(v.numerator)}/{_decimal(v.denominator)}"
 
 
 def _format_placement(p: Placement, first: bool) -> str:

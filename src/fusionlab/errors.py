@@ -1,6 +1,24 @@
-"""Exception hierarchy shared by all fusionlab modules."""
+"""Exception hierarchy shared by all fusionlab modules, and the decimal
+text of exact integers that their messages and the CLI share."""
 
 from __future__ import annotations
+
+
+def _decimal(v: int) -> str:
+    """v in decimal, at any size.
+
+    str() refuses an int of more digits than sys.get_int_max_str_digits(),
+    which is 4300 by default and never below 640 unless 0 (no limit). So a
+    long v is split at a power of ten near half its digits, and each half is
+    written on its own; the process-wide limit is left as it is.
+    """
+    if v < 0:
+        return "-" + _decimal(-v)
+    if v.bit_length() <= 2000:  # at most 603 digits
+        return str(v)
+    k = v.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(v, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 class FusionError(Exception):
@@ -9,7 +27,7 @@ class FusionError(Exception):
 
 class NegativeExponentError(FusionError):
     def __init__(self, exponent: int):
-        super().__init__(f"exponent evaluates to {exponent}, must be >= 0")
+        super().__init__(f"exponent evaluates to {_decimal(exponent)}, must be >= 0")
         self.exponent = exponent
 
 
@@ -55,7 +73,7 @@ class InvalidRepeatError(FusionError):
     def __init__(self, label: str, level: int, value: int):
         super().__init__(
             f"repeat for a placement in {label!r} at level {level} "
-            f"evaluates to {value}, must be >= 1"
+            f"evaluates to {_decimal(value)}, must be >= 1"
         )
         self.label = label
         self.level = level
@@ -71,7 +89,7 @@ class InvalidRangeError(FusionError):
 
 class ExpansionTooLargeError(FusionError):
     def __init__(self, predicted: int, cap: int):
-        super().__init__(f"expansion needs {predicted} cells, budget allows {cap}")
+        super().__init__(f"expansion needs {_decimal(predicted)} cells, budget allows {cap}")
         self.predicted = predicted
         self.cap = cap
 

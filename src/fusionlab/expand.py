@@ -113,7 +113,10 @@ class CellPatch:
         """2D patch from placed prototiles (anchor, label), copied only to
         move the smallest anchor to 0 and checked as an expansion is, from
         the row runs of the prototiles they place (see _checked_patch). A
-        label the rule lacks raises UnknownLabelError."""
+        label the rule lacks raises UnknownLabelError; a 1D rule raises
+        ValueError."""
+        if rule.dimension != 2:
+            raise ValueError(f"CellPatch.from_tiles is for 2D rules, got a {rule.dimension}D rule")
         tiles = tuple(tiles)
         if not tiles:
             raise ValueError("empty patch")

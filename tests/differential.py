@@ -147,6 +147,20 @@ def _empty_2d(F):
     return lambda: F.FusionRule("empty2d", 2, prototiles, (F.SupertileDef("P", body), F.SupertileDef("Q", ())))
 
 
+def _fractional_1d(F):
+    """A 1D rule of three labels whose prototile volumes have denominators
+    above 1, so the hull sweep meets fractional volumes at every level;
+    two of its repeats grow with the level."""
+    prototiles = tuple(F.Prototile(name, v) for name, v in zip("ABC", (Fraction(1, 2), Fraction(2, 3), Fraction(5, 4))))
+    bodies = {
+        "A": (F.Placement("A"), F.Placement("B", F.Var())),
+        "B": (F.Placement("C"), F.Placement("A", F.Lit(2))),
+        "C": (F.Placement("B"), F.Placement("C", F.BinOp("+", F.Var(), F.Lit(1)))),
+    }
+    definitions = tuple(F.SupertileDef(name, body) for name, body in bodies.items())
+    return lambda: F.FusionRule("fractional1d", 1, prototiles, definitions)
+
+
 def _labels(F, rule, level) -> tuple:
     try:
         return F.resolve_level(rule, level).labels
@@ -244,6 +258,7 @@ def records(seed: int, count: int, out) -> None:
     builds += [(f"random1d{i}", _random_1d(F, rng, i), 6) for i in range(count)]
     builds += [(f"random2d{i}", _random_2d(F, rng, i), 3) for i in range(count)]
     builds.append(("empty2d", _empty_2d(F), 3))
+    builds.append(("fractional1d", _fractional_1d(F), 6))
     for rid, build, top in builds:
         rule = rec(rid, "FusionRule", (), build)
         if rule is None:

@@ -8,6 +8,8 @@ from test_expand import _brute_components, outcome, random_2d_rules, reference_t
 
 from fusionlab import analysis, core, expand
 from fusionlab.analysis import (
+    ErgodicityReport,
+    FrequencyHull,
     ergodicity_report,
     frequency_hull,
     patch_count_2d,
@@ -18,7 +20,7 @@ from fusionlab.analysis import (
     word_count,
 )
 from fusionlab.builtins import builtin_text, load_builtin
-from fusionlab.core import resolve_level
+from fusionlab.core import BinOp, FusionRule, Lit, Placement, Prototile, SupertileDef, Var, resolve_level
 from fusionlab.dsl import parse_rule
 from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, InvalidRangeError, OverlapError
 from fusionlab.expand import (
@@ -438,6 +440,150 @@ class TestFrequencyHull:
             frequency_hull(load_builtin("fibonacci"), 3, 3)
 
 
+# ---------------------------------------------------------------------------
+# The Fraction-by-Fraction hull: every vertex, pair distance and centroid
+# normalized at every horizon. The integer sweep in analysis is checked
+# against it.
+# ---------------------------------------------------------------------------
+
+
+def oracle_widest_pair(vertices, vol_n):
+    """The largest volume-weighted L1 distance between two vertices and the
+    first pair (a, b) attaining it; (0, 0, 0) for a single vertex."""
+    pairs = (
+        (sum(vol_n[i] * abs(vertices[a][i] - vertices[b][i]) for i in range(len(vol_n))), a, b)
+        for a in range(len(vertices))
+        for b in range(a + 1, len(vertices))
+    )
+    return max(pairs, key=lambda pair: pair[0], default=(Fraction(0), 0, 0))
+
+
+def oracle_hull(rule, n, N):
+    """The hull of M_{n,N} and the pair of vertices realizing its diameter."""
+    m = transition_matrix(rule, n, N)
+    vol_n, vol_N = volumes(rule, n).values, volumes(rule, N).values
+    vertices = tuple(
+        tuple(m.entries[i][j] / vol_N[j] for i in range(len(m.row_labels)))
+        for j in range(len(m.col_labels))
+    )
+    diameter, a, b = oracle_widest_pair(vertices, vol_n)
+    k = len(vertices)
+    centroid = tuple(sum((v[i] for v in vertices), Fraction(0)) / k for i in range(len(vol_n)))
+    hull = FrequencyHull(m.from_level, m.to_level, m.row_labels, m.col_labels, vertices, diameter, centroid)
+    return hull, a, b
+
+
+def oracle_report(rule, n, depth, tol, window, floor):
+    """ergodicity_report from one oracle hull per horizon."""
+    tol, floor = (x if isinstance(x, Fraction) else Fraction(str(x)) for x in (tol, floor))
+    hulls = [oracle_hull(rule, n, N) for N in range(n + 1, depth + 1)]
+    diameters = tuple(h.diameter for h, _, _ in hulls)
+    trajectories = None
+    if diameters[-1] < tol:
+        verdict = "unique"
+    elif all(d > floor for d in diameters[-window:]):
+        verdict = "multiple"
+        trajectories = (
+            tuple((h.vertex_labels[a], h.vertices[a]) for h, a, _ in hulls),
+            tuple((h.vertex_labels[b], h.vertices[b]) for h, _, b in hulls),
+        )
+    else:
+        verdict = "undecided"
+    horizons = tuple(range(n + 1, depth + 1))
+    return ErgodicityReport(n, depth, tol, horizons, diameters, verdict, hulls[-1][0], trajectories)
+
+
+# Prototile volumes with denominators above 1, so that both the level-n
+# volumes (over their lcm L) and the horizon volumes p_j/q_j are fractional.
+FRACTIONAL_VOLUMES = tuple(Fraction(p, q) for p, q in ((1, 2), (2, 3), (3, 2), (5, 4), (7, 6), (4, 5)))
+
+
+@st.composite
+def fractional_1d_rules(draw):
+    """Random 1D rules with one to three labels, fractional prototile
+    volumes and repeats that are constant or grow with the level."""
+    names = ("A", "B", "C")[: draw(st.integers(min_value=1, max_value=3))]
+    repeat = st.sampled_from((Lit(1), Lit(2), Lit(3), Var(), BinOp("+", Var(), Lit(1))))
+    placement = st.builds(Placement, st.sampled_from(names), repeat)
+    definitions = tuple(
+        SupertileDef(name, tuple(draw(st.lists(placement, min_size=1, max_size=3)))) for name in names
+    )
+    prototiles = tuple(Prototile(name, draw(st.sampled_from(FRACTIONAL_VOLUMES))) for name in names)
+    return FusionRule("fractional", 1, prototiles, definitions)
+
+
+# From level 0 at horizon N, A's vertex is (1, 0, 0), B's is
+# (2N, 1, 0)/(2N+1) and C's is (0, 0, 1): A and C are as far apart as B and
+# C, at distance 2, which the integer sweep reads over different
+# denominators. Only the first pair attaining it, (A, C), is the widest.
+TIE = """rule tie dim 1
+prototile A
+prototile B
+prototile C
+level default:
+  A = A
+  B = A A B
+  C = C
+"""
+
+
+class TestHullOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rule=st.one_of(fractional_1d_rules(), random_2d_rules),
+        n=st.integers(min_value=0, max_value=2),
+        span=st.integers(min_value=1, max_value=4),
+        tol=st.sampled_from((Fraction(0), Fraction(1, 10**6), Fraction(1, 2), 0.1)),
+        floor=st.sampled_from((Fraction(0), Fraction(1, 100), 0.25)),
+        window=st.integers(min_value=1, max_value=3),
+    )
+    def test_hull_and_report_equal_the_fraction_oracle(self, rule, n, span, tol, floor, window):
+        got = outcome(lambda: ergodicity_report(rule, n, n + span, tol, window, floor))
+        want = outcome(lambda: oracle_report(rule, n, n + span, tol, window, floor))
+        assert got == want  # diameters, hull, verdict and trajectories at every horizon
+        for N in range(n + 1, n + span + 1):
+            got = outcome(lambda: frequency_hull(rule, n, N))
+            want = outcome(lambda: oracle_hull(rule, n, N)[0])
+            assert got == want
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_bundled_rules_equal_the_fraction_oracle(self, name):
+        rule = load_builtin(name)
+        for n in (0, 2):
+            assert ergodicity_report(rule, n, n + 8, Fraction(0), 2, Fraction(0)) == oracle_report(
+                rule, n, n + 8, Fraction(0), 2, Fraction(0)
+            )
+
+    def test_fractional_volumes_reach_the_sweep(self):
+        rule = FusionRule(
+            "fractional", 1,
+            tuple(Prototile(name, v) for name, v in zip("AB", (Fraction(1, 2), Fraction(2, 3)))),
+            (SupertileDef("A", (Placement("A"), Placement("B"))), SupertileDef("B", (Placement("A", Lit(2)),))),
+        )
+        assert volumes(rule, 0).values == (Fraction(1, 2), Fraction(2, 3))
+        assert volumes(rule, 1).values == (Fraction(7, 6), Fraction(1))
+        rep = ergodicity_report(rule, 0, 6, Fraction(0), 1, Fraction(0))
+        assert rep == oracle_report(rule, 0, 6, Fraction(0), 1, Fraction(0))
+        assert rep.verdict == "multiple"
+        hull = frequency_hull(rule, 0, 1)
+        assert hull.vertices == ((Fraction(6, 7), Fraction(6, 7)), (Fraction(2), Fraction(0)))
+        assert hull.diameter == Fraction(8, 7)
+
+    def test_tied_pairs_keep_the_first(self):
+        rule = parse_rule(TIE)
+        rep = ergodicity_report(rule, 0, 3)
+        assert rep == oracle_report(rule, 0, 3, Fraction(1, 10**6), 3, Fraction(1, 100))
+        assert rep.diameters == (2, 2, 2)
+        assert rep.verdict == "multiple"
+        lo, hi = rep.trajectories
+        assert [label for label, _ in lo] == ["A"] * 3
+        assert [label for label, _ in hi] == ["C"] * 3
+        # B is as far from C as A is, over a different denominator
+        b, c = rep.hull.vertices[1:]
+        assert sum(abs(x - y) for x, y in zip(b, c)) == 2
+        assert b == (Fraction(6, 7), Fraction(1, 7), Fraction(0))
+
+
 class TestErgodicity:
     def test_fibonacci_unique(self):
         rep = ergodicity_report(load_builtin("fibonacci"), 0, 25)
@@ -477,6 +623,21 @@ class TestErgodicity:
     def test_depth_must_exceed_level(self):
         with pytest.raises(InvalidRangeError):
             ergodicity_report(load_builtin("fibonacci"), 4, 4)
+
+    def test_float_tol_is_decided_as_stored(self):
+        # the diameter is exactly 1/10; the float 0.1 is a little larger
+        rule = parse_rule(
+            "rule edge dim 1\nprototile A\nprototile B\n"
+            "level default:\n  A = A^(9) B\n  B = A^(17) B^(3)\n"
+        )
+        rep = ergodicity_report(rule, 0, 1, tol=0.1, window=1)
+        assert rep.diameters == (Fraction(1, 10),)
+        assert rep.tol == Fraction(1, 10)
+        assert rep.verdict == "multiple"  # 1/10 is not below tol 1/10
+        assert rep.trajectories is not None
+        # floor is read the same way: 1/10 is not above floor 1/10
+        assert ergodicity_report(rule, 0, 1, tol=0.05, window=1, floor=0.1).verdict == "undecided"
+        assert ergodicity_report(rule, 0, 1, tol=0.05, window=1, floor=0.09).verdict == "multiple"
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_must_be_positive(self, window):

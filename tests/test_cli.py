@@ -1,12 +1,17 @@
+import gc
 import json
 import pathlib
+import sys
+from decimal import Decimal
 
 import pytest
 from make_goldens import GOLDEN
 
 from fusionlab import cli
+from fusionlab.analysis import ergodicity_report
 from fusionlab.builtins import load_builtin
 from fusionlab.dsl import format_rule
+from fusionlab.expand import cell_count
 from fusionlab.transition import transition_matrix
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -260,6 +265,57 @@ class TestExitCodes:
             ["expand", "thue_morse", "--level", "6", "--max-cells", "10"]
         )
         assert code == 1 and "64" in err
+
+
+def same_decimal(text: str, value) -> bool:
+    """text is the exact value, "p" or "p/q", compared through Decimal,
+    which reads and writes integers of any length."""
+    p, _, q = text.partition("/")
+    return Decimal(p) == value.numerator and Decimal(q or "1") == value.denominator
+
+
+class TestLongNumbers:
+    """Exact numbers past str()'s default 4300-digit limit."""
+
+    def test_freq_json_and_text(self, run_cli):
+        argv = ["freq", "ten_pow_n", "--horizon", "120"]
+        code, out, err = run_cli(argv + ["--json"])
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        rep = ergodicity_report(load_builtin("ten_pow_n"), 0, 120)
+        longest = max(len(x) for v in result["vertices"] for x in v)
+        assert longest > 4300
+        assert all(map(same_decimal, result["ergodicity"]["diameters"], rep.diameters))
+        for got, want in zip(result["vertices"], rep.hull.vertices):
+            assert all(map(same_decimal, got, want))
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        assert out.endswith("ergodicity verdict: multiple\n")
+        assert f"({', '.join(result['vertices'][0])})" in out
+
+    def test_matrix_json_and_text(self, run_cli):
+        argv = ["matrix", "ten_pow_n", "--from", "0", "--to", "120"]
+        code, out, err = run_cli(argv + ["--json"])
+        assert code == 0 and err == ""
+        entries = json.loads(out)["result"]["entries"]
+        m = transition_matrix(load_builtin("ten_pow_n"), 0, 120)
+        assert all(Decimal(x) == e for got, want in zip(entries, m.entries) for x, e in zip(got, want))
+        assert max(len(x) for row in entries for x in row) > 4300
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split() == ["A:", *entries[0]]
+
+    def test_expansion_cap_names_a_long_count(self, run_cli):
+        code, out, err = run_cli(["expand", "ten_pow_n", "--level", "120", "--supertile", "A"])
+        assert code == 1 and out == ""
+        count = err.split("expansion needs ")[1].split(" cells")[0]
+        assert len(count) > 4300 and Decimal(count) == cell_count(load_builtin("ten_pow_n"), 120, "A")
+
+    def test_freq_leaves_process_state_alone(self, run_cli):
+        before = (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits())
+        code, _, _ = run_cli(["freq", "ten_pow_n", "--horizon", "120", "--json"])
+        assert code == 0
+        assert (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits()) == before
 
 
 class TestRender:

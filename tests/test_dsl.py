@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from fusionlab.core import (
     Placement,
     Var,
 )
-from fusionlab.dsl import format_expr, format_guard, format_rule, parse_rule, parse_rule_text
+from fusionlab.dsl import _frac_str, format_expr, format_guard, format_rule, parse_rule, parse_rule_text
 from fusionlab.errors import ParseError, ValidationError
 
 
@@ -289,3 +290,18 @@ def test_mutated_rule_files_parse_or_diagnose(name, pos, ch):
         assert e.diagnostics
     except RecursionError:
         pytest.fail("parser must not blow the stack on small inputs")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(min_value=0, max_value=70000),
+    data=st.data(),
+    denominator=st.sampled_from((1, 3, 10**5000 + 1)),
+)
+def test_frac_str_writes_any_length(bits, data, denominator):
+    # Decimal reads and writes integers of any length, so it checks the
+    # halves that _frac_str joins past str()'s digit limit
+    numerator = data.draw(st.integers(min_value=-(2**bits), max_value=2**bits))
+    v = Fraction(numerator, denominator)
+    want = str(Decimal(v.numerator)) if v.denominator == 1 else f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+    assert _frac_str(v) == want

@@ -511,6 +511,10 @@ class TestPatchConstruction:
         assert isinstance(exc.value, KeyError)
         assert (exc.value.label, exc.value.level, exc.value.labels) == ("XX", 0, chair.prototile_names())
 
+    def test_from_tiles_rejects_a_1d_rule(self):
+        with pytest.raises(ValueError, match="CellPatch.from_tiles is for 2D rules, got a 1D rule"):
+            CellPatch.from_tiles(load_builtin("fibonacci"), [((0, 0), "A")])
+
     def test_from_tiles_accepts_meeting_edges(self):
         chair = load_builtin("chair")
         patch = CellPatch.from_tiles(chair, (((0, 0), "NE"), ((1, 1), "NE")))
