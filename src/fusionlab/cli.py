@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 from . import analysis, dsl, expand, transition
 from .builtins import BUILTIN_RULES, builtin_names, builtin_text, load_builtin
 from .core import FusionRule, resolve_level
-from .dsl import _frac_str
-from .errors import FusionError, ParseError, ValidationError, _decimal
+from .errors import FusionError, ParseError, ValidationError, _decimal, _frac_str
 
 SCHEMA = "fusionlab/1"
 

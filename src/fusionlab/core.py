@@ -33,6 +33,7 @@ from .errors import (
     UnknownDimensionError,
     UnknownLabelError,
     ValidationError,
+    _frac_str,
 )
 
 # ---------------------------------------------------------------------------
@@ -579,7 +580,8 @@ def _structure(rule: FusionRule) -> list[Diagnostic]:
             out.append(Diagnostic("duplicate-prototile", f"prototile {p.name!r} declared twice"))
         seen_names.add(p.name)
         if p.volume <= 0:
-            out.append(Diagnostic("bad-volume", f"prototile {p.name!r} has volume {p.volume}"))
+            # Fraction(): a float volume is named by the rational it holds
+            out.append(Diagnostic("bad-volume", f"prototile {p.name!r} has volume {_frac_str(Fraction(p.volume))}"))
         if rule.dimension == 1:
             if p.cells is not None:
                 out.append(Diagnostic("bad-shape", f"1D prototile {p.name!r} must not declare cells"))

@@ -19,6 +19,10 @@ at one offset; the first placement of a body defaults to (0,0). A
 definition inside `level G:` with its own `if H` clause is active where
 both hold.
 
+INT is a run of ASCII digits of any length. A token keeps only its index
+into the text; a ParseDiagnostic's line, column and byte offset are
+computed for the one token it names.
+
 format_rule emits a canonical text (single level block, one definition per
 line, normalized spacing) and parse_rule(format_rule(r)) reproduces r
 exactly.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import core
 from .core import (
@@ -49,7 +53,7 @@ from .core import (
     SupertileDef,
     Var,
 )
-from .errors import ParseError, ValidationError, _decimal
+from .errors import ParseError, ValidationError, _decimal, _frac_str, _integer
 
 RESERVED = {
     "rule", "dim", "prototile", "volume", "cells", "level",
@@ -78,11 +82,10 @@ class ParseDiagnostic:
         return f"{self.severity} at line {self.span.line}, column {self.span.column}: {self.message}"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | int | op | eof
     value: str
-    span: SourceSpan
+    start: int  # index into the text
 
 
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
@@ -91,69 +94,54 @@ _ONE_CHAR_OPS = "=^@(),:/+-*<>"
 _DIGITS = "0123456789"
 
 
+def _span(text: str, start: int, length: int) -> SourceSpan:
+    """The span of `length` characters at index `start`, for a diagnostic."""
+    column = start - text.rfind("\n", 0, start)
+    return SourceSpan(text.count("\n", 0, start) + 1, column, len(text[:start].encode("utf-8")), length)
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
     i = 0
-    line, col, off = 1, 1, 0
     size = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col, off
-        for _ in range(k):
-            ch = text[i]
-            off += len(ch.encode("utf-8"))
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
     while i < size:
         ch = text[i]
         if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                advance(1)
-            continue
-        span_start = SourceSpan(line, col, off, 1)
-        if ch in _DIGITS:
-            j = i
+            i += 1
+        elif ch == "#":
+            i = text.find("\n", i)
+            if i < 0:
+                i = size
+        elif ch in _DIGITS:
+            j = i + 1
             while j < size and text[j] in _DIGITS:
                 j += 1
-            tok_text = text[i:j]
-            toks.append(_Token("int", tok_text, SourceSpan(line, col, off, len(tok_text))))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            toks.append(_Token("int", text[i:j], i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < size and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tok_text = text[i:j]
-            toks.append(_Token("ident", tok_text, SourceSpan(line, col, off, len(tok_text))))
-            advance(j - i)
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            toks.append(_Token("op", two, SourceSpan(line, col, off, 2)))
-            advance(2)
-            continue
-        if ch in _ONE_CHAR_OPS:
-            toks.append(_Token("op", ch, span_start))
-            advance(1)
-            continue
-        raise ParseError([
-            ParseDiagnostic("error", f"unexpected character {ch!r}", span_start)
-        ])
-    toks.append(_Token("eof", "", SourceSpan(line, col, off, 0)))
+            toks.append(_Token("ident", text[i:j], i))
+            i = j
+        elif text[i : i + 2] in _TWO_CHAR_OPS:
+            toks.append(_Token("op", text[i : i + 2], i))
+            i += 2
+        elif ch in _ONE_CHAR_OPS:
+            toks.append(_Token("op", ch, i))
+            i += 1
+        else:
+            raise ParseError([
+                ParseDiagnostic("error", f"unexpected character {ch!r}", _span(text, i, 1))
+            ])
+    toks.append(_Token("eof", "", size))
     return toks
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.dimension = 1
 
@@ -168,7 +156,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
-        raise ParseError([ParseDiagnostic("error", message, tok.span)])
+        raise ParseError([ParseDiagnostic("error", message, _span(self.text, tok.start, len(tok.value)))])
 
     def expect_op(self, value: str) -> _Token:
         t = self.peek()
@@ -196,7 +184,7 @@ class _Parser:
         t = self.peek()
         if t.kind != "int":
             self.fail(f"expected an integer, found {t.value!r}")
-        return int(t.value), self.take()
+        return _integer(t.value), self.take()
 
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
@@ -451,7 +439,7 @@ def parse_rule_text(text: str) -> FusionRule:
     """Parse without resolving levels. Syntax problems raise ParseError
     with source spans; a rule whose structure is invalid raises the
     ValidationError of its constructor (see FusionRule)."""
-    return _Parser(_tokenize(text)).parse_rule()
+    return _Parser(text).parse_rule()
 
 
 def parse_rule(text: str, depth: int = 64) -> FusionRule:
@@ -481,7 +469,7 @@ def _expr_prec(e: IntExpr) -> int:
 
 def format_expr(e: IntExpr) -> str:
     if isinstance(e, Lit):
-        return str(e.value)
+        return _decimal(e.value)
     if isinstance(e, Var):
         return "n"
     if isinstance(e, Dim):
@@ -518,7 +506,7 @@ def format_guard(g: Guard) -> str:
     if isinstance(g, Cmp):
         return f"{format_expr(g.left)} {g.op} {format_expr(g.right)}"
     if isinstance(g, IsPow):
-        return f"ispow({g.base},{format_expr(g.exponent)})"
+        return f"ispow({_decimal(g.base)},{format_expr(g.exponent)})"
     if isinstance(g, Not):
         inner = format_guard(g.operand)
         if _guard_prec(g.operand) < 3:
@@ -535,13 +523,6 @@ def format_guard(g: Guard) -> str:
             right = f"({right})"
         return f"{left} {word} {right}"
     raise TypeError(f"not a Guard: {g!r}")
-
-
-def _frac_str(v: Fraction) -> str:
-    """A rational as "p/q", or as "p" when the denominator is 1, at any size."""
-    if v.denominator == 1:
-        return _decimal(v.numerator)
-    return f"{_decimal(v.numerator)}/{_decimal(v.denominator)}"
 
 
 def _format_placement(p: Placement, first: bool) -> str:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all fusionlab modules, and the decimal
-text of exact integers that their messages and the CLI share."""
+text of exact numbers that their messages, the parser and the CLI share."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def _decimal(v: int) -> str:
@@ -19,6 +21,22 @@ def _decimal(v: int) -> str:
     k = v.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
     high, low = divmod(v, 10**k)
     return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _integer(digits: str) -> int:
+    """The int that a string of decimal digits writes, at any length: the
+    inverse of _decimal, split at a power of ten the same way."""
+    if len(digits) <= 600:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
+
+
+def _frac_str(v: Fraction) -> str:
+    """A rational as "p/q", or as "p" when the denominator is 1, at any size."""
+    if v.denominator == 1:
+        return _decimal(v.numerator)
+    return f"{_decimal(v.numerator)}/{_decimal(v.denominator)}"
 
 
 class FusionError(Exception):

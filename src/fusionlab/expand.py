@@ -334,7 +334,11 @@ def label_chars(rule: FusionRule) -> dict[str, str]:
     Prototile names that are already single characters name themselves;
     otherwise characters are assigned by declaration order.
     """
-    names = rule.prototile_names()
+    return _char_table(rule.prototile_names())
+
+
+def _char_table(names) -> dict[str, str]:
+    """One character per name, by position in names, as label_chars says."""
     if all(len(n) == 1 for n in names):
         return {n: n for n in names}
     if len(names) > len(_ALPHABET):
@@ -547,13 +551,8 @@ def is_admissible(
 def _patch_table(patch: CellPatch, rule: Optional[FusionRule]) -> dict[str, str]:
     if rule is not None:
         return label_chars(rule)
-    if patch.dimension == 1:
-        labs = sorted(set(patch.labels))
-    else:
-        labs = sorted({lab for _, lab in patch.cells})
-    if all(len(lab) == 1 for lab in labs):
-        return {lab: lab for lab in labs}
-    return {lab: _ALPHABET[i] for i, lab in enumerate(labs)}
+    labels = patch.labels if patch.dimension == 1 else (lab for _, lab in patch.cells)
+    return _char_table(sorted(set(labels)))
 
 
 def render_text(patch: CellPatch, rule: Optional[FusionRule] = None) -> str:

@@ -7,10 +7,18 @@ Run from the repository root after an intentional output change:
 Tests compare CLI output byte-for-byte against these files, so regenerate
 only when the new output has been inspected and is meant to be the new
 contract.
+
+The differential_N.sha256 files hold the SHA-256 of what
+`python tests/differential.py --rules N` prints: one record per call of
+every public entry point. A behaviour change that moves a record moves the
+digest; list the moved records (`differential.py --against REV`) with the
+change that rewrites it.
 """
 
+import hashlib
 import io
 import pathlib
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -37,6 +45,9 @@ GOLDEN = {
     "examples.json": ["examples", "--json"],
 }
 
+# digest file -> random rules of each dimension; 20 in CI, 5 in the tests
+DIGESTS = {"differential_20.sha256": 20, "differential_5.sha256": 5}
+
 
 def capture(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -47,11 +58,20 @@ def capture(argv):
     return out.getvalue()
 
 
+def differential_digest(rules):
+    script = pathlib.Path(__file__).with_name("differential.py")
+    run = subprocess.run([sys.executable, str(script), "--rules", str(rules)], capture_output=True, check=True)
+    return hashlib.sha256(run.stdout).hexdigest() + "\n"
+
+
 def main():
     golden_dir = pathlib.Path(__file__).parent / "golden"
     golden_dir.mkdir(exist_ok=True)
     for name, argv in GOLDEN.items():
         (golden_dir / name).write_text(capture(argv), encoding="utf-8")
+        print(f"wrote golden/{name}")
+    for name, rules in DIGESTS.items():
+        (golden_dir / name).write_text(differential_digest(rules), encoding="utf-8")
         print(f"wrote golden/{name}")
 
 

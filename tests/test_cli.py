@@ -5,7 +5,7 @@ import sys
 from decimal import Decimal
 
 import pytest
-from make_goldens import GOLDEN
+from make_goldens import GOLDEN, differential_digest
 
 from fusionlab import cli
 from fusionlab.analysis import ergodicity_report
@@ -42,6 +42,10 @@ class TestGoldens:
     def test_repeated_runs_identical(self, run_cli):
         argv = GOLDEN["freq_fibonacci.json"]
         assert run_cli(argv) == run_cli(argv)
+
+    def test_differential_records_match_digest(self):
+        # every public entry point on the bundled rules and 5 + 5 random ones
+        assert differential_digest(5) == (GOLDEN_DIR / "differential_5.sha256").read_text(encoding="utf-8")
 
 
 class TestLibraryParity:
@@ -292,6 +296,16 @@ class TestLongNumbers:
         assert code == 0 and err == ""
         assert out.endswith("ergodicity verdict: multiple\n")
         assert f"({', '.join(result['vertices'][0])})" in out
+
+    def test_parse_json_keeps_a_long_literal(self, run_cli, tmp_path):
+        nines = "9" * 5000
+        path = tmp_path / "long.fusion"
+        path.write_text(f"rule long dim 1\nprototile A\nprototile B\nlevel default:\n  A = A^({nines}) B\n  B = A\n")
+        state = (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits())
+        code, out, err = run_cli(["parse", str(path), "--json"])
+        assert code == 0 and err == ""
+        assert f"  A = A^({nines}) B\n" in json.loads(out)["result"]["canonical"]
+        assert (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits()) == state
 
     def test_matrix_json_and_text(self, run_cli):
         argv = ["matrix", "ten_pow_n", "--from", "0", "--to", "120"]

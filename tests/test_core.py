@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import sys
 import weakref
 from dataclasses import fields
 from fractions import Fraction
@@ -341,6 +342,21 @@ class TestValidateRule:
             (SupertileDef("A", (Placement("A"),)),),
         )
         assert "bad-volume" in [d.code for d in diags]
+
+    def test_volume_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        diags = structure_diagnostics(
+            "r", 1,
+            (Prototile("A", volume=Fraction(-10**5000)),),
+            (SupertileDef("A", (Placement("A"),)),),
+        )
+        assert [(d.code, d.message) for d in diags] == [
+            ("bad-volume", "prototile 'A' has volume -1" + "0" * 5000)
+        ]
+        assert sys.get_int_max_str_digits() == limit
+        # a float, outside the type, is still rejected as a volume
+        (d,) = structure_diagnostics("r", 1, (Prototile("A", volume=-1.5),), (SupertileDef("A", (Placement("A"),)),))
+        assert (d.code, d.message) == ("bad-volume", "prototile 'A' has volume -3/2")
 
     def test_disconnected_prototile(self):
         diags = structure_diagnostics(

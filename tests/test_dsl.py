@@ -1,5 +1,7 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,32 @@ from fusionlab.core import (
     BinOp,
     Cmp,
     Dim,
+    FusionRule,
     IsPow,
     Lit,
     Not,
     Or,
     Placement,
+    Prototile,
+    SupertileDef,
     Var,
 )
-from fusionlab.dsl import _frac_str, format_expr, format_guard, format_rule, parse_rule, parse_rule_text
-from fusionlab.errors import ParseError, ValidationError
+from fusionlab.dsl import (
+    _DIGITS,
+    _ONE_CHAR_OPS,
+    _TWO_CHAR_OPS,
+    ParseDiagnostic,
+    SourceSpan,
+    _Parser,
+    _span,
+    _tokenize,
+    format_expr,
+    format_guard,
+    format_rule,
+    parse_rule,
+    parse_rule_text,
+)
+from fusionlab.errors import ParseError, ValidationError, _frac_str, _integer
 
 
 class TestParseBasics:
@@ -305,3 +324,153 @@ def test_frac_str_writes_any_length(bits, data, denominator):
     v = Fraction(numerator, denominator)
     want = str(Decimal(v.numerator)) if v.denominator == 1 else f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
     assert _frac_str(v) == want
+    # and _integer reads those digits back, leading zeros included
+    digits = str(Decimal(abs(numerator)))
+    assert _integer(digits) == _integer("0" * 700 + digits) == abs(numerator)
+
+
+class TestLongLiterals:
+    """Integer literals past str()'s default 4300-digit limit, which is left
+    as it is."""
+
+    NINES = "9" * 5000
+
+    def test_repeat_round_trips(self):
+        limit = sys.get_int_max_str_digits()
+        rule = parse_rule(
+            f"rule r dim 1 prototile A prototile B level default: A = A^({self.NINES}) B if ispow({self.NINES}, n) A = A B B = A"
+        )
+        assert rule.definitions[0].body[0].repeat == Lit(10**5000 - 1)
+        assert rule.definitions[0].guard == IsPow(10**5000 - 1, Var())
+        text = format_rule(rule)
+        assert f"  A = A^({self.NINES}) B if ispow({self.NINES},n)\n" in text
+        assert parse_rule(text) == rule
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_format_long_lit(self):
+        limit = sys.get_int_max_str_digits()
+        rule = FusionRule("f", 1, (Prototile("A"),), (SupertileDef("A", (Placement("A", Lit(10**5000)),)),))
+        assert format_rule(rule) == "rule f dim 1\nprototile A\nlevel default:\n  A = A^(1" + "0" * 5000 + ")\n"
+        assert sys.get_int_max_str_digits() == limit
+
+
+# the incremental tokenizer that tracked line, column and byte offset per
+# character: the oracle for _tokenize's starts and the spans _span builds
+
+
+class _OracleToken(NamedTuple):
+    kind: str
+    value: str
+    span: SourceSpan
+
+
+def _oracle_tokenize(text: str) -> list[_OracleToken]:
+    toks: list[_OracleToken] = []
+    i = 0
+    line, col, off = 1, 1, 0
+    size = len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col, off
+        for _ in range(k):
+            ch = text[i]
+            off += len(ch.encode("utf-8"))
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < size:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == "#":
+            while i < size and text[i] != "\n":
+                advance(1)
+            continue
+        span_start = SourceSpan(line, col, off, 1)
+        if ch in _DIGITS:
+            j = i
+            while j < size and text[j] in _DIGITS:
+                j += 1
+            tok_text = text[i:j]
+            toks.append(_OracleToken("int", tok_text, SourceSpan(line, col, off, len(tok_text))))
+            advance(j - i)
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < size and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tok_text = text[i:j]
+            toks.append(_OracleToken("ident", tok_text, SourceSpan(line, col, off, len(tok_text))))
+            advance(j - i)
+            continue
+        two = text[i : i + 2]
+        if two in _TWO_CHAR_OPS:
+            toks.append(_OracleToken("op", two, SourceSpan(line, col, off, 2)))
+            advance(2)
+            continue
+        if ch in _ONE_CHAR_OPS:
+            toks.append(_OracleToken("op", ch, span_start))
+            advance(1)
+            continue
+        raise ParseError([
+            ParseDiagnostic("error", f"unexpected character {ch!r}", span_start)
+        ])
+    toks.append(_OracleToken("eof", "", SourceSpan(line, col, off, 0)))
+    return toks
+
+
+class _OracleParser(_Parser):
+    """The parser on the oracle's tokens, naming each by its own span."""
+
+    def __init__(self, text: str):
+        self.toks = _oracle_tokenize(text)
+        self.pos = 0
+        self.dimension = 1
+
+    def fail(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError([ParseDiagnostic("error", message, tok.span)])
+
+
+def _outcome(parse):
+    try:
+        return "rule", parse()
+    except ParseError as e:
+        return "parse", e.diagnostics, str(e)
+    except ValidationError as e:
+        return "validation", e.diagnostics
+
+
+_INSERTS = (*_TWO_CHAR_OPS, *_ONE_CHAR_OPS, "\r\n", "\n", " ", "#", "é", "²", "😀", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(builtin_names()),
+    edits=st.lists(
+        st.tuples(st.integers(0, 4000), st.integers(0, 5), st.sampled_from(_INSERTS)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_tokens_and_spans_match_the_incremental_oracle(name, edits):
+    """Each edit deletes up to five characters and inserts an operator, a
+    line break, a comment mark, a non-ASCII character or nothing."""
+    text = builtin_text(name)
+    for pos, cut, insert in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + insert + text[pos + cut :]
+    try:
+        want = [(t.kind, t.value, t.span) for t in _oracle_tokenize(text)]
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        assert got.value.diagnostics == e.diagnostics
+    else:
+        assert [(t.kind, t.value, _span(text, t.start, len(t.value))) for t in _tokenize(text)] == want
+    assert _outcome(lambda: parse_rule_text(text)) == _outcome(lambda: _OracleParser(text).parse_rule())

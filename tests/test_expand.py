@@ -707,6 +707,19 @@ class TestRendering:
         patch = expand_supertile(fib2d, 2, "BA")
         assert render_svg(patch, rule=fib2d) == render_svg(patch, rule=fib2d)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            CellPatch.from_word([f"L{i}" for i in range(70)]),
+            CellPatch.from_cells({(i, 0): f"L{i}" for i in range(70)}),
+        ],
+        ids=["word", "cells"],
+    )
+    def test_more_labels_than_characters_without_a_rule(self, patch):
+        with pytest.raises(ValueError, match="^too many prototiles for a character table$"):
+            render_text(patch)
+        assert render_svg(patch).count("<rect ") == 70
+
     def test_svg_of_word_is_strip(self):
         fib = load_builtin("fibonacci")
         patch = expand_supertile(fib, 2, "A")
