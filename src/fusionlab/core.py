@@ -212,12 +212,18 @@ class Prototile:
     cells, a polyomino sorted by (x, y) and anchored at min x = min y = 0;
     a FusionRule rejects a 2D prototile whose cells are None or empty,
     repeat a cell, are not edge-connected or are not so anchored.
-    volume defaults to 1 in 1D and to the cell count in 2D.
+    volume is an int or Fraction, and a FusionRule rejects any other type;
+    left None, it becomes the cell count of a prototile with cells (2D)
+    and 1 otherwise, as the parser reads an omitted volume.
     """
 
     name: str
-    volume: Fraction = Fraction(1)
+    volume: Optional[Fraction] = None
     cells: Optional[tuple[tuple[int, int], ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.volume is None:
+            object.__setattr__(self, "volume", Fraction(len(self.cells)) if self.cells else Fraction(1))
 
     def size(self) -> tuple[int, int]:
         """Bounding-box (width, height) of a 2D prototile's cells."""
@@ -579,9 +585,10 @@ def _structure(rule: FusionRule) -> list[Diagnostic]:
         if p.name in seen_names:
             out.append(Diagnostic("duplicate-prototile", f"prototile {p.name!r} declared twice"))
         seen_names.add(p.name)
-        if p.volume <= 0:
+        if not isinstance(p.volume, (int, Fraction)) or p.volume <= 0:
             # Fraction(): a float volume is named by the rational it holds
-            out.append(Diagnostic("bad-volume", f"prototile {p.name!r} has volume {_frac_str(Fraction(p.volume))}"))
+            inexact = "" if p.volume <= 0 else f", a {type(p.volume).__name__}, not an int or Fraction"
+            out.append(Diagnostic("bad-volume", f"prototile {p.name!r} has volume {_frac_str(Fraction(p.volume))}{inexact}"))
         if rule.dimension == 1:
             if p.cells is not None:
                 out.append(Diagnostic("bad-shape", f"1D prototile {p.name!r} must not declare cells"))

@@ -95,9 +95,11 @@ _DIGITS = "0123456789"
 
 
 def _span(text: str, start: int, length: int) -> SourceSpan:
-    """The span of `length` characters at index `start`, for a diagnostic."""
+    """The span of `length` characters at index `start`, for a diagnostic.
+    The byte offset counts a lone surrogate, which a str built in Python
+    can hold, as the three bytes UTF-8 would give its code point."""
     column = start - text.rfind("\n", 0, start)
-    return SourceSpan(text.count("\n", 0, start) + 1, column, len(text[:start].encode("utf-8")), length)
+    return SourceSpan(text.count("\n", 0, start) + 1, column, len(text[:start].encode("utf-8", "surrogatepass")), length)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -359,8 +361,6 @@ class _Parser:
             cells = tuple(sorted((x - minx, y - miny) for x, y in acc))
         if self.dimension == 2 and cells is None:
             cells = ((0, 0),)
-        if volume is None:
-            volume = Fraction(len(cells)) if cells is not None else Fraction(1)
         return Prototile(name, volume, cells)
 
     def _parse_levelblock(self) -> list[SupertileDef]:
@@ -545,8 +545,7 @@ def format_rule(rule: FusionRule) -> str:
     lines = [f"rule {rule.name} dim {rule.dimension}"]
     for p in rule.prototiles:
         line = f"prototile {p.name}"
-        default_volume = Fraction(len(p.cells)) if p.cells is not None else Fraction(1)
-        if p.volume != default_volume:
+        if p.volume != Prototile(p.name, cells=p.cells).volume:
             line += f" volume {_frac_str(p.volume)}"
         if p.cells is not None and p.cells != ((0, 0),):
             line += " cells " + " ".join(f"({x},{y})" for x, y in p.cells)

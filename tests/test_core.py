@@ -34,7 +34,7 @@ from fusionlab.core import (
 from fusionlab.dsl import parse_rule
 from fusionlab.errors import NegativeExponentError, UnknownDimensionError, ValidationError
 from fusionlab.expand import cell_count, tile_count
-from fusionlab.transition import transition_matrix
+from fusionlab.transition import transition_matrix, volumes
 
 
 def expr_pow(base, exp):
@@ -283,6 +283,21 @@ def structure_diagnostics(*fields):
     return exc.value.diagnostics
 
 
+class TestPrototileVolume:
+    def test_default_is_one_in_1d_and_the_cell_count_in_2d(self):
+        assert Prototile("A").volume == Fraction(1)
+        assert Prototile("P", cells=((0, 0), (1, 0))).volume == Fraction(2)
+        assert Prototile("P", Fraction(1, 2), cells=((0, 0), (1, 0))).volume == Fraction(1, 2)
+
+    def test_python_built_chair_matches_the_parsed_one(self):
+        # before the default followed the cells, this chair had volumes 1
+        parsed = load_builtin("chair")
+        built = dataclasses.replace(parsed, prototiles=tuple(Prototile(p.name, cells=p.cells) for p in parsed.prototiles))
+        assert built == parsed
+        assert volumes(built, 3) == volumes(parsed, 3)
+        assert volumes(built, 3).values == (Fraction(192),) * 4
+
+
 class TestValidateRule:
     def test_builtins_clean(self):
         for name in ("thue_morse", "fibonacci", "fiblike", "ten_pow_n", "chair", "fib2d"):
@@ -357,6 +372,17 @@ class TestValidateRule:
         # a float, outside the type, is still rejected as a volume
         (d,) = structure_diagnostics("r", 1, (Prototile("A", volume=-1.5),), (SupertileDef("A", (Placement("A"),)),))
         assert (d.code, d.message) == ("bad-volume", "prototile 'A' has volume -3/2")
+
+    @pytest.mark.parametrize("volume, named", [(1.5, "3/2"), (2.0, "2")])
+    def test_positive_float_volume(self, volume, named):
+        # accepted, a float volume made volumes inexact and frequency_hull
+        # raise AttributeError
+        (d,) = structure_diagnostics("r", 1, (Prototile("A", volume),), (SupertileDef("A", (Placement("A"),)),))
+        assert (d.code, d.message) == ("bad-volume", f"prototile 'A' has volume {named}, a float, not an int or Fraction")
+
+    def test_int_volume_is_exact(self):
+        rule = FusionRule("r", 1, (Prototile("A", 3),), (SupertileDef("A", (Placement("A", Lit(2)),)),))
+        assert rule.prototile("A").volume == 3
 
     def test_disconnected_prototile(self):
         diags = structure_diagnostics(

@@ -170,6 +170,13 @@ class TestParseErrors:
         assert (d.span.line, d.span.column) == (1, 12)
         assert "unexpected character" in d.message
 
+    def test_lone_surrogate_before_a_diagnostic_gets_a_span(self):
+        with pytest.raises(ParseError) as exc:
+            parse_rule_text("# \ud800\n$")
+        d = exc.value.diagnostics[0]
+        assert (d.span.line, d.span.column, d.span.offset, d.span.length) == (2, 1, 6, 1)
+        assert "unexpected character '$'" in d.message
+
     def test_repeat_in_2d_rejected(self):
         text = "rule r dim 2\nprototile P\nprototile Q\nlevel default:\n  P = P^(2)@(0,0) Q@(1,0)\n  Q = Q\n"
         with pytest.raises(ParseError) as exc:

@@ -1,4 +1,5 @@
 import gc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,42 @@ class TestFlatExpansion:
         enabled, threshold = gc.isenabled(), gc.get_threshold()
         expand_supertile(load_builtin("chair"), 6, "NE")
         assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts the passes of CPython's generational collector")
+    def test_expansion_starts_at_most_one_full_collection(self):
+        # Pairs built before the (x, y) inside them stay tracked through
+        # their first collection and are promoted; with 786 432 cells that
+        # started 4 to 17 full collections, by Python version.
+        full = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            patch = expand_supertile(load_builtin("chair"), 9, "NE")
+        finally:
+            gc.callbacks.remove(count)
+        assert patch.cell_count() == 3 * 4**9
+        assert len(full) <= 1
+
+    def test_tiles_and_cells_follow_the_reference_order(self):
+        chair = load_builtin("chair")
+        patch = expand_supertile(chair, 5, "NE")
+        tiles = tuple(reference_tiles(chair, 5, "NE"))
+        assert patch.tiles == tiles
+        assert patch.cells == tuple(
+            ((ax + cx, ay + cy), lab) for (ax, ay), lab in tiles for cx, cy in chair.prototile(lab).cells
+        )
+
+    def test_anchor_cells_are_the_tiles_own_pairs(self):
+        chair = load_builtin("chair")
+        patch = expand_supertile(chair, 4, "NE")
+        own = {id(tile) for tile in patch.tiles}
+        anchored = sum((0, 0) in chair.prototile(lab).cells for _, lab in patch.tiles)
+        assert sum(id(cell) in own for cell in patch.cells) == anchored > 0
 
 
 def bar_2d(q_body=(Placement("Q", Lit(1), (Lit(0), Lit(0))),)):
