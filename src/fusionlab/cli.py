@@ -154,6 +154,8 @@ def _cmd_expand(args):
                 "text": text,
             }
         )
+        # dropped before the next label's expansion, so one patch is alive at a time
+        del patch
         if args.supertile:
             texts.append(text)
         elif rule.dimension == 1:

@@ -28,6 +28,16 @@ before it returns; a cell at a shape's (0, 0) is its tile's own pair. 1D
 patches are plain label sequences; words are counted and searched for
 without expanding anything (see _word_rows).
 
+Every coordinate of a 2D patch is an entry of one table, ints, built once
+per patch from its box (see _int_table): a child is shifted, and a cell
+painted, by indexing a slice of the table, never by adding, so equal
+coordinates are one int object. Each x + dx would make a new int above
+CPython's cached 256, over a million of them in chair's level-9 patch.
+The table is list(range(side)) only when side, the box's longer edge, is
+at most the patch's cell count, as it always is for a connected patch;
+otherwise it is range(side), which shares nothing but costs nothing, so
+an expansion with a far-flung child still fails as fast as before.
+
 Every builder of (cell, label) pairs builds all the (x, y) pairs first, in
 one list, and only then the pairs that hold them. CPython stops tracking a
 tuple of untracked items (ints, strs, such tuples) only when a collection
@@ -43,8 +53,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
     FusionRule,
@@ -55,6 +66,7 @@ from .core import (
     _join_runs,
     _runs_of,
     _weighted_sums,
+    level_sizes,
     resolve_level,
 )
 from .errors import (
@@ -114,7 +126,9 @@ class CellPatch:
             raise ValueError("empty patch")
         minx = min(x for x, _ in cells)
         miny = min(y for _, y in cells)
-        points = [(x - minx, y - miny) for x, y in cells]
+        box = (max(x for x, _ in cells) - minx + 1, max(y for _, y in cells) - miny + 1)
+        ints = _int_table(box, len(cells))
+        points = [(ints[x - minx], ints[y - miny]) for x, y in cells]
         norm = tuple(sorted(zip(points, cells.values())))
         _check_connected(_runs_of(c for c, _ in norm))
         return CellPatch(2, cells=norm, tiles=norm)
@@ -136,10 +150,18 @@ class CellPatch:
             raise UnknownLabelError(lab, 0, tuple(shapes))
         minx = min(x for (x, _), _ in tiles)
         miny = min(y for (_, y), _ in tiles)
+        # the cells' box, as every shape has a cell at x = 0 and one at y = 0
+        extent = {p.name: p.size() for p in rule.prototiles}
+        count = {p.name: len(p.cells) for p in rule.prototiles}
+        box = (
+            max(x + extent[lab][0] for (x, _), lab in tiles) - minx,
+            max(y + extent[lab][1] for (_, y), lab in tiles) - miny,
+        )
+        ints = _int_table(box, sum(count[lab] for _, lab in tiles))
         if minx or miny:
-            anchors = [(x - minx, y - miny) for (x, y), _ in tiles]
+            anchors = [(ints[x - minx], ints[y - miny]) for (x, y), _ in tiles]
             tiles = tuple(zip(anchors, [lab for _, lab in tiles]))
-        return _checked_patch(rule, tiles, _join_runs([(shapes[lab], x, y) for (x, y), lab in tiles]))
+        return _checked_patch(rule, tiles, _join_runs([(shapes[lab], x, y) for (x, y), lab in tiles]), ints)
 
     def cell_count(self) -> int:
         return len(self.labels) if self.dimension == 1 else len(self.cells)
@@ -153,26 +175,46 @@ class CellPatch:
         """Bounding box (width, height); 1D height is 1."""
         if self.dimension == 1:
             return (len(self.labels), 1)
-        xs = [c[0] for c, _ in self.cells]
-        ys = [c[1] for c, _ in self.cells]
-        return (max(xs) + 1, max(ys) + 1)
+        if not self.cells:
+            raise ValueError("empty patch")
+        (width, height), _ = self.cells[0]
+        for (x, y), _ in self.cells:
+            if x > width:
+                width = x
+            if y > height:
+                height = y
+        return (width + 1, height + 1)
 
 
-def _paint_cells(rule: FusionRule, tiles) -> tuple[tuple[Cell, str], ...]:
+def _int_table(box: tuple[int, int], cells: int) -> Sequence[int]:
+    """The coordinate table of a 2D patch with this (width, height) box and
+    this many cells: list(range(side)) for the box's longer side, or
+    range(side) where side exceeds the cell count, which only a patch that
+    is not connected can have (see the module docstring)."""
+    side = max(box)
+    return list(range(side)) if side <= cells else range(side)
+
+
+def _paint_cells(rule: FusionRule, tiles, ints: Sequence[int]) -> tuple[tuple[Cell, str], ...]:
     """(cell, label) pairs of placed tiles, in tile order then shape order.
 
     A shape's cell at (0, 0) is painted as the tile's own (anchor, label)
     pair, so only the other cells cost a new pair: a rule of single-cell
-    prototiles paints its tiles themselves. Every new (x, y) is built, in
-    one list, before the pairs that hold them, so the collector untracks
-    them all on first sight (see the module docstring). It checks nothing:
+    prototiles paints its tiles themselves. A cell (cx, cy) of a tile at
+    (ax, ay) is (sx[ax], sy[ay]), where sx and sy are the patch's table
+    ints shifted by cx and cy, one slice per distinct offset, so every
+    coordinate is an entry of ints and painting allocates no int (see the
+    module docstring); a range table gives range slices. Every new
+    (x, y) is built, in one list, before the pairs that hold them, so the
+    collector untracks them all on first sight. It checks nothing:
     _checked_patch paints only tiles whose row runs show them overlap-free
     and edge-connected.
     """
     # each shape's cells with None for the anchor cell
     shapes = {p.name: tuple(None if c == (0, 0) else c for c in p.cells) for p in rule.prototiles}
-    moved = {lab: [c for c in cells if c is not None] for lab, cells in shapes.items()}
-    points = iter([(ax + cx, ay + cy) for (ax, ay), lab in tiles for cx, cy in moved[lab]])
+    shifted = {d: ints[d:] for cells in shapes.values() for c in cells if c is not None for d in c}
+    moved = {lab: [(shifted[c[0]], shifted[c[1]]) for c in cells if c is not None] for lab, cells in shapes.items()}
+    points = iter([(sx[ax], sy[ay]) for (ax, ay), lab in tiles for sx, sy in moved[lab]])
     return tuple([
         tile if c is None else (next(points), tile[1])
         for tile in tiles
@@ -201,14 +243,15 @@ def _check_connected(runs: Runs) -> None:
         raise DisconnectedError(tuple(sorted(sizes, reverse=True)))
 
 
-def _checked_patch(rule: FusionRule, tiles, runs: Optional[Runs]) -> CellPatch:
+def _checked_patch(rule: FusionRule, tiles, runs: Optional[Runs], ints: Sequence[int]) -> CellPatch:
     """The 2D patch of anchored tiles whose cells have these row runs (None
-    where two tiles share a cell), painted once after an OverlapError that
-    names the first two tiles claiming one cell or a DisconnectedError."""
+    where two tiles share a cell), painted once, through the coordinate
+    table ints, after an OverlapError that names the first two tiles
+    claiming one cell or a DisconnectedError."""
     if runs is None:
         _check_overlap(rule, tiles)
     _check_connected(runs)
-    return CellPatch(2, cells=_paint_cells(rule, tiles), tiles=tiles)
+    return CellPatch(2, cells=_paint_cells(rule, tiles, ints), tiles=tiles)
 
 
 def tile_count(rule: FusionRule, level: int, label: str) -> int:
@@ -239,15 +282,17 @@ def expand_supertile(
 
     Each 2D supertile is carried as flat lists of its tiles' anchor x,
     anchor y and label (see _fuse_tiles), beside its row runs, merged from
-    its children's (see core._join_runs). The patch's tiles tuple is built
-    once from the top level's lists, the anchor (x, y) list first and then
-    the pairs that hold them (see the module docstring), and its cells
-    painted once, both before the call returns. The expansion is checked
-    from its runs as from_tiles checks any tiles: an overlap raises
-    OverlapError and a disconnected expansion DisconnectedError (see
-    _checked_patch). A label the level
-    does not define raises UnknownLabelError. max_cells (default 10^7)
-    caps the cells.
+    its children's (see core._join_runs), and its box. Every coordinate is
+    an entry of one table, built before the fold from the box level_sizes
+    gives and the predicted cell count (see _int_table and the module
+    docstring). The patch's tiles tuple is built once from the top level's
+    lists, the anchor (x, y) list first and then the pairs that hold them,
+    and its cells painted once, both before the call returns. The
+    expansion is checked from its runs as from_tiles checks any tiles: an
+    overlap raises OverlapError and a disconnected expansion
+    DisconnectedError (see _checked_patch), as fast from a range table as
+    from a list. A label the level does not define raises
+    UnknownLabelError. max_cells (default 10^7) caps the cells.
     """
     max_cells = _cap(max_cells)
     predicted = cell_count(rule, level, label)
@@ -262,18 +307,20 @@ def expand_supertile(
     if rule.dimension == 1:
         fuse, row = _fuse_words, {lab: (lab,) for lab in needed[0]}
     else:
+        ints = _int_table(level_sizes(rule, level)[label], predicted)
         runs = _prototile_runs(rule)
-        fuse, row = _fuse_tiles, {lab: ([0], [0], [lab], runs[lab]) for lab in needed[0]}
+        fuse = partial(_fuse_tiles, ints)
+        row = {lab: ([0], [0], [lab], runs[lab], rule.prototile(lab).size()) for lab in needed[0]}
     fused = deque(_fold_levels(rule, level, row, fuse, keep=needed), maxlen=1)[0][label]
     if rule.dimension == 1:
         return CellPatch(1, labels=fused)
-    xs, ys, labels, runs = fused
+    xs, ys, labels, runs, _ = fused
     anchors = list(zip(xs, ys))
     del fused, xs, ys
     tiles = tuple(zip(anchors, labels))
     # freed before painting, to keep them out of its peak memory
     del anchors, labels
-    return _checked_patch(rule, tiles, runs)
+    return _checked_patch(rule, tiles, runs, ints)
 
 
 def _cap(max_cells: Optional[int]) -> int:
@@ -289,23 +336,33 @@ def _fuse_words(body, prev) -> tuple[str, ...]:
     return tuple(chain.from_iterable(prev[p.child] * p.repeat for p in body))
 
 
-def _fuse_tiles(body, prev) -> tuple[list[int], list[int], list[str], Optional[Runs]]:
+def _fuse_tiles(
+    ints: Sequence[int], body, prev
+) -> tuple[list[int], list[int], list[str], Optional[Runs], tuple[int, int]]:
     """A 2D supertile's tiles, as flat lists of anchor x, anchor y and label,
-    and its row runs, from its children's; the runs are None where two
-    children share a cell or a child's are None. A child is shifted by a
-    new int list only on an axis where it moves, and no tile gets a tuple.
+    its row runs and its (width, height) box, from its children's; the runs
+    are None where two children share a cell or a child's are None.
+
+    A child is shifted only on an axis where it moves, by indexing the
+    slice of the expansion's table ints that starts at its shift and spans
+    its own box, so the shift costs the child's size, not the top box's,
+    and allocates no int (see the module docstring). Where ints is a range,
+    for a box wider than the cell count, the slice is a range of its own
+    and costs nothing. No tile gets a tuple.
     """
     xs: list[int] = []
     ys: list[int] = []
     labels: list[str] = []
     pieces = []
+    width = height = 0
     for child, dx, dy in _shifts(body):
-        cxs, cys, clabels, runs = prev[child]
-        xs += [x + dx for x in cxs] if dx else cxs
-        ys += [y + dy for y in cys] if dy else cys
+        cxs, cys, clabels, runs, (cw, ch) = prev[child]
+        xs += map(ints[dx : dx + cw].__getitem__, cxs) if dx else cxs
+        ys += map(ints[dy : dy + ch].__getitem__, cys) if dy else cys
         labels += clabels
         pieces.append((runs, dx, dy))
-    return xs, ys, labels, _join_runs(pieces)
+        width, height = max(width, dx + cw), max(height, dy + ch)
+    return xs, ys, labels, _join_runs(pieces), (width, height)
 
 
 def _shifts(body) -> list[tuple[str, int, int]]:
@@ -576,19 +633,29 @@ def _patch_table(patch: CellPatch, rule: Optional[FusionRule]) -> dict[str, str]
 
 def render_text(patch: CellPatch, rule: Optional[FusionRule] = None) -> str:
     """1D: the word itself. 2D: one text row per y (top = max y), `.` for
-    empty cells."""
+    empty cells.
+
+    A 2D patch is painted into one buffer per row, each cell's character
+    written once, with no grid dict: a bytearray row when every character
+    is ASCII, as _ALPHABET is, and a list of str otherwise (a prototile
+    whose one-character name is not ASCII names itself). Its coordinates,
+    in an expansion entries of one shared table (see the module
+    docstring), only index the rows, so rendering allocates text, not
+    cells, and needs no table of its own.
+    """
     table = _patch_table(patch, rule)
     if patch.dimension == 1:
         return "".join(table[lab] for lab in patch.labels)
-    grid = patch.grid()
     width, height = patch.size()
-    rows = []
-    for y in range(height - 1, -1, -1):
-        rows.append("".join(
-            table[grid[(x, y)]] if (x, y) in grid else "."
-            for x in range(width)
-        ))
-    return "\n".join(rows)
+    if all(ch.isascii() for ch in table.values()):
+        chars, text = {lab: ord(ch) for lab, ch in table.items()}, bytearray.decode
+        rows = [bytearray(b"." * width) for _ in range(height)]
+    else:
+        chars, text = table, "".join
+        rows = [["."] * width for _ in range(height)]
+    for (x, y), lab in patch.cells:
+        rows[y][x] = chars[lab]
+    return "\n".join(map(text, reversed(rows)))
 
 
 def render_svg(

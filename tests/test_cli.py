@@ -1,13 +1,15 @@
 import gc
 import json
 import pathlib
+import subprocess
 import sys
+import weakref
 from decimal import Decimal
 
 import pytest
 from make_goldens import GOLDEN, differential_digest
 
-from fusionlab import cli
+from fusionlab import cli, expand
 from fusionlab.analysis import ergodicity_report
 from fusionlab.builtins import load_builtin
 from fusionlab.dsl import format_rule
@@ -64,6 +66,27 @@ class TestLibraryParity:
     def test_expand_all_supertiles_labeled(self, run_cli):
         code, out, _ = run_cli(["expand", "thue_morse", "--level", "2"])
         assert code == 0 and out == "S1: ABBA\nS2: BAAB\n"
+
+    def test_expand_holds_one_patch_at_a_time(self, run_cli, monkeypatch):
+        made = []
+        real = expand.expand_supertile
+
+        def tracked(*args):
+            assert all(ref() is None for ref in made), "an earlier label's patch is still alive"
+            patch = real(*args)
+            made.append(weakref.ref(patch))
+            return patch
+
+        monkeypatch.setattr(expand, "expand_supertile", tracked)
+        code, _, _ = run_cli(["expand", "chair", "--level", "2", "--json"])
+        assert code == 0 and len(made) == 4
+
+    @pytest.mark.parametrize("bound, code, want", [("100000", "pass", 0), ("0", "pass", 1), ("100000", "raise SystemExit(3)", 3)])
+    def test_peak_rss_wrapper(self, bound, code, want):
+        script = pathlib.Path(__file__).parent / "peak_rss.py"
+        done = subprocess.run([sys.executable, str(script), bound, sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == want
+        assert f"bound {bound} MiB" in done.stderr
 
     def test_parse_prints_canonical_form(self, run_cli):
         code, out, _ = run_cli(["parse", "fib2d"])

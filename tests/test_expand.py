@@ -1,6 +1,8 @@
 import gc
 import sys
+import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -388,6 +390,105 @@ class TestFlatExpansion:
         assert sum(id(cell) in own for cell in patch.cells) == anchored > 0
 
 
+def plain_from_tiles(rule, tiles):
+    """CellPatch.from_tiles by plain arithmetic, with no coordinate table:
+    anchors moved and cells painted by adding, then the overlap and
+    connectivity checks; the reference the table-built patch is held to."""
+    tiles = tuple(tiles)
+    names = rule.prototile_names()
+    for lab in (lab for _, lab in tiles if lab not in names):
+        raise UnknownLabelError(lab, 0, names)
+    minx = min(x for (x, _), _ in tiles)
+    miny = min(y for (_, y), _ in tiles)
+    tiles = tuple(((x - minx, y - miny), lab) for (x, y), lab in tiles)
+    expand._check_overlap(rule, tiles)
+    cells = tuple(((ax + cx, ay + cy), lab) for (ax, ay), lab in tiles for cx, cy in rule.prototile(lab).cells)
+    expand._check_connected(core._runs_of(c for c, _ in cells))
+    return CellPatch(2, cells=cells, tiles=tiles)
+
+
+def plain_from_cells(cells):
+    """CellPatch.from_cells by plain arithmetic, with no coordinate table."""
+    minx = min(x for x, _ in cells)
+    miny = min(y for _, y in cells)
+    norm = tuple(sorted(((x - minx, y - miny), lab) for (x, y), lab in cells.items()))
+    expand._check_connected(core._runs_of(c for c, _ in norm))
+    return CellPatch(2, cells=norm, tiles=norm)
+
+
+def coordinate_objects(patch):
+    """The distinct int objects among the x and y of a patch's tiles and
+    cells, by identity; the patch keeps them all alive."""
+    return {id(v) for (x, y), _ in chain(patch.tiles, patch.cells) for v in (x, y)}
+
+
+class TestCoordinateTable:
+    @pytest.mark.parametrize("name, level, label", [("fib2d", 12, "AA"), ("chair", 8, "NE")])
+    def test_coordinates_share_one_table(self, name, level, label):
+        # boxes past 256 cells a side, so CPython's cached small ints cannot
+        # make the coordinates shared by themselves
+        rule = load_builtin(name)
+        side = max(level_sizes(rule, level)[label])
+        assert side > 256
+        assert len(coordinate_objects(expand_supertile(rule, level, label))) <= side
+
+    def test_normalized_patches_share_one_table(self):
+        # a row of 200 chairs, 400 cells wide, and a 300 x 2 block of cells
+        tiles = [((1000 + 2 * k, -1000), "NE") for k in range(200)]
+        assert len(coordinate_objects(CellPatch.from_tiles(load_builtin("chair"), tiles))) <= 400
+        cells = {(1000 + x, 1000 + y): "X" for x in range(300) for y in range(2)}
+        assert len(coordinate_objects(CellPatch.from_cells(cells))) <= 300
+
+    def test_children_far_apart_fail_fast(self):
+        # a box 10^12 cells wide: a table that size could not be built
+        rule = parse_rule("rule far dim 2\nprototile P\nlevel default:\n  P = P P@(1000000000000,0)\n")
+        start = time.perf_counter()
+        with pytest.raises(DisconnectedError) as exc:
+            expand_supertile(rule, 1, "P")
+        assert exc.value.component_sizes == (1, 1)
+        with pytest.raises(DisconnectedError) as exc:
+            CellPatch.from_tiles(rule, (((0, 0), "P"), ((10**12, 0), "P")))
+        assert exc.value.component_sizes == (1, 1)
+        with pytest.raises(DisconnectedError):
+            CellPatch.from_cells({(0, 0): "P", (0, 10**12): "P"})
+        assert time.perf_counter() - start < 5
+
+    def test_overlap_past_the_small_ints_is_named_as_before(self):
+        # a bar that doubles every level, until level 9 places its second
+        # half one cell too far left, over cell (255, 0)
+        rule = parse_rule(
+            "rule late dim 2\n"
+            "prototile P\n"
+            "level n == 9:\n"
+            "  P = P P@(w(P)-1,0)\n"
+            "level default:\n"
+            "  P = P P@(w(P),0)\n"
+        )
+        assert expand_supertile(rule, 8, "P").size() == (256, 1)
+        with pytest.raises(OverlapError) as exc:
+            expand_supertile(rule, 9, "P")
+        with pytest.raises(OverlapError) as want:
+            plain_from_tiles(rule, reference_tiles(rule, 9, "P"))
+        assert vars(exc.value) == vars(want.value) == {"first_child": 255, "second_child": 256, "cell": (255, 0)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rule=random_2d_rules,
+        level=st.integers(min_value=0, max_value=3),
+        pick=st.integers(min_value=0, max_value=1),
+        keep=st.integers(min_value=1),
+        shift=st.tuples(st.integers(-400, 400), st.integers(-400, 400)),
+    )
+    def test_normalized_patches_match_plain_arithmetic(self, rule, level, pick, keep, shift):
+        names = rule.prototile_names()
+        tiles = reference_tiles(rule, level, names[pick % len(names)])
+        tiles = [((x + shift[0], y + shift[1]), lab) for (x, y), lab in tiles[: 1 + keep % len(tiles)]]
+        got = outcome(lambda: CellPatch.from_tiles(rule, tiles))
+        assert got == outcome(lambda: plain_from_tiles(rule, tiles))
+        cells = {(x + shift[0], y + shift[1]): lab for (x, y), lab in tiles}
+        assert outcome(lambda: CellPatch.from_cells(cells)) == outcome(lambda: plain_from_cells(cells))
+
+
 def bar_2d(q_body=(Placement("Q", Lit(1), (Lit(0), Lit(0))),)):
     """P fuses P and, to its right, Q; Q fuses `q_body`. With the default body
     the level-n P is a bar of n + 1 cells and Q stays one cell."""
@@ -721,7 +822,50 @@ class TestOccurrences2D:
         assert occurrences_2d(patch, patch) == [(0, 0)]
 
 
+def grid_render_text(patch, rule=None):
+    """render_text of a 2D patch from a grid dict, looked up at every
+    position of the box; the reference the row-buffer renderer is held to."""
+    table = expand._patch_table(patch, rule)
+    grid = patch.grid()
+    width = max(x for (x, _), _ in patch.cells) + 1
+    height = max(y for (_, y), _ in patch.cells) + 1
+    return "\n".join(
+        "".join(table[grid[(x, y)]] if (x, y) in grid else "." for x in range(width))
+        for y in range(height - 1, -1, -1)
+    )
+
+
+def accented_2d():
+    """A rule whose prototile names are one character each, one of them not
+    ASCII, so they name themselves in text and rows cannot be bytes."""
+    return FusionRule(
+        "accent", 2,
+        (Prototile("\u00e9", cells=((0, 0), (1, 0))), Prototile("Q", cells=((0, 0),))),
+        (
+            SupertileDef("\u00e9", (Placement("\u00e9", Lit(1), (Lit(0), Lit(0))), Placement("Q", Lit(1), (Dim("w", "\u00e9"), Lit(0))))),
+            SupertileDef("Q", (Placement("Q", Lit(1), (Lit(0), Lit(0))), Placement("\u00e9", Lit(1), (Lit(0), Dim("h", "Q"))))),
+        ),
+    )
+
+
 class TestRendering:
+    @settings(max_examples=200, deadline=None)
+    @given(rule=random_2d_rules, level=st.integers(min_value=0, max_value=3), pick=st.integers(min_value=0, max_value=1))
+    def test_text_matches_the_grid_renderer(self, rule, level, pick):
+        names = rule.prototile_names()
+        patch = outcome(lambda: expand_supertile(rule, level, names[pick % len(names)]))
+        if isinstance(patch, CellPatch):
+            assert render_text(patch, rule) == grid_render_text(patch, rule)
+            assert render_text(patch) == grid_render_text(patch)
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_text_of_non_ascii_names_matches_the_grid_renderer(self, level):
+        rule = accented_2d()
+        patch = expand_supertile(rule, level, "\u00e9")
+        text = render_text(patch, rule)
+        assert text == grid_render_text(patch, rule) == render_text(patch)
+        assert "\u00e9" in text
+
     def test_text_1d_is_word(self):
         tm = load_builtin("thue_morse")
         patch = expand_supertile(tm, 3, "S1")
