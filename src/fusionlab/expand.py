@@ -29,10 +29,11 @@ patches are plain label sequences; words are counted and searched for
 without expanding anything (see _word_rows).
 
 Every coordinate of a 2D patch is an entry of one table, ints, built once
-per patch from its box (see _int_table): a child is shifted, and a cell
-painted, by indexing a slice of the table, never by adding, so equal
-coordinates are one int object. Each x + dx would make a new int above
-CPython's cached 256, over a million of them in chair's level-9 patch.
+per patch from its box (see _int_table): a shifted coordinate x + dx is
+only an index into the table, freed at once, and the patch keeps the
+entry, so equal coordinates are one int object. Kept, each x + dx would
+be a new int above CPython's cached 256, over a million of them in
+chair's level-9 patch.
 The table is list(range(side)) only when side, the box's longer edge, is
 at most the patch's cell count, as it always is for a connected patch;
 otherwise it is range(side), which shares nothing but costs nothing, so
@@ -135,11 +136,11 @@ class CellPatch:
 
     @staticmethod
     def from_tiles(rule: FusionRule, tiles) -> "CellPatch":
-        """2D patch from placed prototiles (anchor, label), copied only to
-        move the smallest anchor to 0 and checked as an expansion is, from
-        the row runs of the prototiles they place (see _checked_patch). A
-        label the rule lacks raises UnknownLabelError; a 1D rule raises
-        ValueError."""
+        """2D patch from placed prototiles (anchor, label), copied to move
+        the smallest anchor to 0 through the patch's coordinate table (see
+        _int_table), and checked as an expansion is, from the row runs of
+        the prototiles they place (see _checked_patch). A label the rule
+        lacks raises UnknownLabelError; a 1D rule raises ValueError."""
         if rule.dimension != 2:
             raise ValueError(f"CellPatch.from_tiles is for 2D rules, got a {rule.dimension}D rule")
         tiles = tuple(tiles)
@@ -158,9 +159,8 @@ class CellPatch:
             max(y + extent[lab][1] for (_, y), lab in tiles) - miny,
         )
         ints = _int_table(box, sum(count[lab] for _, lab in tiles))
-        if minx or miny:
-            anchors = [(ints[x - minx], ints[y - miny]) for (x, y), _ in tiles]
-            tiles = tuple(zip(anchors, [lab for _, lab in tiles]))
+        anchors = [(ints[x - minx], ints[y - miny]) for (x, y), _ in tiles]
+        tiles = tuple(zip(anchors, [lab for _, lab in tiles]))
         return _checked_patch(rule, tiles, _join_runs([(shapes[lab], x, y) for (x, y), lab in tiles]), ints)
 
     def cell_count(self) -> int:
@@ -175,15 +175,25 @@ class CellPatch:
         """Bounding box (width, height); 1D height is 1."""
         if self.dimension == 1:
             return (len(self.labels), 1)
-        if not self.cells:
-            raise ValueError("empty patch")
-        (width, height), _ = self.cells[0]
-        for (x, y), _ in self.cells:
-            if x > width:
-                width = x
-            if y > height:
-                height = y
+        _, _, width, height = _corners(self.cells)
         return (width + 1, height + 1)
+
+
+def _corners(cells) -> tuple[int, int, int, int]:
+    """(min x, min y, max x, max y) of 2D (cell, label) pairs, in one pass."""
+    if not cells:
+        raise ValueError("empty patch")
+    ((lowx, lowy), _), ((highx, highy), _) = cells[0], cells[0]
+    for (x, y), _ in cells:
+        if x > highx:
+            highx = x
+        elif x < lowx:
+            lowx = x
+        if y > highy:
+            highy = y
+        elif y < lowy:
+            lowy = y
+    return lowx, lowy, highx, highy
 
 
 def _int_table(box: tuple[int, int], cells: int) -> Sequence[int]:
@@ -282,9 +292,9 @@ def expand_supertile(
 
     Each 2D supertile is carried as flat lists of its tiles' anchor x,
     anchor y and label (see _fuse_tiles), beside its row runs, merged from
-    its children's (see core._join_runs), and its box. Every coordinate is
-    an entry of one table, built before the fold from the box level_sizes
-    gives and the predicted cell count (see _int_table and the module
+    its children's (see core._join_runs). Every coordinate is an entry of
+    one table, built before the fold from the box level_sizes gives and
+    the predicted cell count (see _int_table and the module
     docstring). The patch's tiles tuple is built once from the top level's
     lists, the anchor (x, y) list first and then the pairs that hold them,
     and its cells painted once, both before the call returns. The
@@ -310,11 +320,11 @@ def expand_supertile(
         ints = _int_table(level_sizes(rule, level)[label], predicted)
         runs = _prototile_runs(rule)
         fuse = partial(_fuse_tiles, ints)
-        row = {lab: ([0], [0], [lab], runs[lab], rule.prototile(lab).size()) for lab in needed[0]}
+        row = {lab: ([0], [0], [lab], runs[lab]) for lab in needed[0]}
     fused = deque(_fold_levels(rule, level, row, fuse, keep=needed), maxlen=1)[0][label]
     if rule.dimension == 1:
         return CellPatch(1, labels=fused)
-    xs, ys, labels, runs, _ = fused
+    xs, ys, labels, runs = fused
     anchors = list(zip(xs, ys))
     del fused, xs, ys
     tiles = tuple(zip(anchors, labels))
@@ -336,33 +346,27 @@ def _fuse_words(body, prev) -> tuple[str, ...]:
     return tuple(chain.from_iterable(prev[p.child] * p.repeat for p in body))
 
 
-def _fuse_tiles(
-    ints: Sequence[int], body, prev
-) -> tuple[list[int], list[int], list[str], Optional[Runs], tuple[int, int]]:
+def _fuse_tiles(ints: Sequence[int], body, prev) -> tuple[list[int], list[int], list[str], Optional[Runs]]:
     """A 2D supertile's tiles, as flat lists of anchor x, anchor y and label,
-    its row runs and its (width, height) box, from its children's; the runs
-    are None where two children share a cell or a child's are None.
+    and its row runs, from its children's; the runs are None where two
+    children share a cell or a child's are None.
 
-    A child is shifted only on an axis where it moves, by indexing the
-    slice of the expansion's table ints that starts at its shift and spans
-    its own box, so the shift costs the child's size, not the top box's,
-    and allocates no int (see the module docstring). Where ints is a range,
-    for a box wider than the cell count, the slice is a range of its own
-    and costs nothing. No tile gets a tuple.
+    A child is shifted only on an axis where it moves, each coordinate x
+    replaced by the entry ints[x + dx] of the expansion's table, so the
+    patch keeps no int of its own (see the module docstring). No tile gets
+    a tuple.
     """
     xs: list[int] = []
     ys: list[int] = []
     labels: list[str] = []
     pieces = []
-    width = height = 0
     for child, dx, dy in _shifts(body):
-        cxs, cys, clabels, runs, (cw, ch) = prev[child]
-        xs += map(ints[dx : dx + cw].__getitem__, cxs) if dx else cxs
-        ys += map(ints[dy : dy + ch].__getitem__, cys) if dy else cys
+        cxs, cys, clabels, runs = prev[child]
+        xs += [ints[x + dx] for x in cxs] if dx else cxs
+        ys += [ints[y + dy] for y in cys] if dy else cys
         labels += clabels
         pieces.append((runs, dx, dy))
-        width, height = max(width, dx + cw), max(height, dy + ch)
-    return xs, ys, labels, _join_runs(pieces), (width, height)
+    return xs, ys, labels, _join_runs(pieces)
 
 
 def _shifts(body) -> list[tuple[str, int, int]]:
@@ -635,27 +639,23 @@ def render_text(patch: CellPatch, rule: Optional[FusionRule] = None) -> str:
     """1D: the word itself. 2D: one text row per y (top = max y), `.` for
     empty cells.
 
-    A 2D patch is painted into one buffer per row, each cell's character
-    written once, with no grid dict: a bytearray row when every character
-    is ASCII, as _ALPHABET is, and a list of str otherwise (a prototile
-    whose one-character name is not ASCII names itself). Its coordinates,
-    in an expansion entries of one shared table (see the module
-    docstring), only index the rows, so rendering allocates text, not
-    cells, and needs no table of its own.
+    A 2D patch is painted into one list of characters per row, each cell's
+    character written once, with no grid dict. Its coordinates, in an
+    expansion entries of one shared table (see the module docstring), only
+    index the rows, so rendering allocates text, not cells. A patch built
+    by hand with a negative coordinate, which no row can hold, raises
+    ValueError.
     """
     table = _patch_table(patch, rule)
     if patch.dimension == 1:
         return "".join(table[lab] for lab in patch.labels)
-    width, height = patch.size()
-    if all(ch.isascii() for ch in table.values()):
-        chars, text = {lab: ord(ch) for lab, ch in table.items()}, bytearray.decode
-        rows = [bytearray(b"." * width) for _ in range(height)]
-    else:
-        chars, text = table, "".join
-        rows = [["."] * width for _ in range(height)]
+    lowx, lowy, highx, highy = _corners(patch.cells)
+    if lowx < 0 or lowy < 0:
+        raise ValueError(f"render_text needs coordinates >= 0, got min x {lowx} and min y {lowy}")
+    rows = [["."] * (highx + 1) for _ in range(highy + 1)]
     for (x, y), lab in patch.cells:
-        rows[y][x] = chars[lab]
-    return "\n".join(map(text, reversed(rows)))
+        rows[y][x] = table[lab]
+    return "\n".join(map("".join, reversed(rows)))
 
 
 def render_svg(

@@ -432,9 +432,11 @@ class TestCoordinateTable:
         assert side > 256
         assert len(coordinate_objects(expand_supertile(rule, level, label))) <= side
 
-    def test_normalized_patches_share_one_table(self):
-        # a row of 200 chairs, 400 cells wide, and a 300 x 2 block of cells
-        tiles = [((1000 + 2 * k, -1000), "NE") for k in range(200)]
+    @pytest.mark.parametrize("shift", [(1000, -1000), (0, 0)], ids=["shifted", "anchored"])
+    def test_normalized_patches_share_one_table(self, shift):
+        # a row of 200 chairs, 400 cells wide, and a 300 x 2 block of cells;
+        # anchored at 0 or not, the tiles' own ints past 256 are not kept
+        tiles = [((shift[0] + 2 * k, shift[1]), "NE") for k in range(200)]
         assert len(coordinate_objects(CellPatch.from_tiles(load_builtin("chair"), tiles))) <= 400
         cells = {(1000 + x, 1000 + y): "X" for x in range(300) for y in range(2)}
         assert len(coordinate_objects(CellPatch.from_cells(cells))) <= 300
@@ -837,7 +839,7 @@ def grid_render_text(patch, rule=None):
 
 def accented_2d():
     """A rule whose prototile names are one character each, one of them not
-    ASCII, so they name themselves in text and rows cannot be bytes."""
+    ASCII, so they name themselves in text."""
     return FusionRule(
         "accent", 2,
         (Prototile("\u00e9", cells=((0, 0), (1, 0))), Prototile("Q", cells=((0, 0),))),
@@ -865,6 +867,17 @@ class TestRendering:
         text = render_text(patch, rule)
         assert text == grid_render_text(patch, rule) == render_text(patch)
         assert "\u00e9" in text
+
+    def test_text_of_a_negative_coordinate_is_refused(self):
+        # a row holds no x < 0: the cell at (-1, 0) would land at the far end
+        patch = CellPatch(2, cells=(((0, 0), "A"), ((-1, 0), "B"), ((1, 1), "A")), tiles=((((0, 0), "A"),)))
+        with pytest.raises(ValueError, match="coordinates >= 0"):
+            render_text(patch)
+
+    def test_text_of_a_patch_off_the_origin_matches_the_grid_renderer(self):
+        # a hand-built patch that starts past 0 keeps its empty margin
+        patch = CellPatch(2, cells=(((2, 1), "A"), ((3, 1), "B"), ((3, 2), "A")), tiles=((((2, 1), "A"),)))
+        assert render_text(patch) == grid_render_text(patch) == "...A\n..AB\n...."
 
     def test_text_1d_is_word(self):
         tm = load_builtin("thue_morse")
