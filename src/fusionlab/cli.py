@@ -112,6 +112,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type: an exact Fraction from "p/q" or a decimal such as 0.001."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: return (result payload, text rendering)
 # ---------------------------------------------------------------------------
@@ -239,8 +247,7 @@ def _trajectory_payload(traj) -> list:
 
 def _cmd_freq(args):
     rule = _load_rule(args)
-    tol = Fraction(args.tol) if args.tol else Fraction(1, 10**6)
-    rep = analysis.ergodicity_report(rule, args.level, args.horizon, tol)
+    rep = analysis.ergodicity_report(rule, args.level, args.horizon, args.tol)
     hull = rep.hull
     result = {
         "level": str(hull.level),
@@ -434,7 +441,7 @@ def build_parser() -> _ArgumentParser:
     _add_rule_arguments(sp)
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--tol", help="uniqueness tolerance, e.g. 1/1000000")
+    sp.add_argument("--tol", type=_fraction, default=Fraction(1, 10**6), help="uniqueness tolerance, e.g. 1/1000000")
     sp.set_defaults(handler=_cmd_freq)
 
     sp = sub.add_parser("patchfreq", help="frequency interval of a word or patch")

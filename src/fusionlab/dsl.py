@@ -8,10 +8,18 @@ Grammar (whitespace-insensitive, # comments to end of line):
     levelblock:= "level" guard ":" def+
     def       := IDENT "=" placement+ ["if" guard | "otherwise"]
     placement := IDENT ["^" "(" expr ")"] (dim 1) | IDENT ["@" "(" expr "," expr ")"] (dim 2)
-    guard     := or-combination of comparisons, ispow(INT, expr), "default",
-                 with not/and/or precedence and parentheses
+    guard     := expr CMP expr | "ispow(" INT "," expr ")" | "default"
+               | "not" guard | guard ("and"|"or") guard | "(" guard ")"
     expr      := INT | "n" | "w(" IDENT ")" | "h(" IDENT ")"
                | expr ("+"|"-"|"*"|"^") expr | "(" expr ")"
+    CMP       := "==" | "!=" | "<" | "<=" | ">" | ">="
+
+One table, _PREC, ranks every operator from loosest to tightest: "or",
+"and", "not" (the only prefix operator), the comparisons, "+" and "-",
+"*", then "^", the only one that groups to the right (2^3^2 is 2^(3^2)).
+The others group to the left, and comparisons do not chain. The parser
+reads expressions and guards in one loop on explicit stacks, so nesting
+costs no stack frames, and the formatter parenthesizes from the same table.
 
 Repeats ("^") exist only in dimension 1, where a tile is one cell. Cells
 and offsets ("@") exist only in dimension 2, where a placement is one child
@@ -140,6 +148,28 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
+# Operator precedence, loosest first; "not" is the only prefix operator and
+# "^" the only one that groups to the right. Parser and formatter share it.
+_PREC = {
+    "or": 1, "and": 2, "not": 3,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "^": 7,
+}
+_NODES = {"or": Or, "and": And, "not": Not}
+
+
+def _reduce(op: str, operands: list) -> None:
+    """Replace the operands on top of the stack with op applied to them."""
+    if op == "not":
+        operands[-1] = Not(operands[-1])
+        return
+    right = operands.pop()
+    if op in _NODES:
+        operands[-1] = _NODES[op](operands[-1], right)
+    else:
+        operands[-1] = (Cmp if _PREC[op] == 4 else BinOp)(op, operands[-1], right)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -192,34 +222,100 @@ class _Parser:
         t = self.peek()
         return t.kind == "ident" and t.value == word
 
-    # -- expressions --------------------------------------------------------
+    # -- expressions and guards ---------------------------------------------
 
     def parse_expr(self, allow_dims: bool = True) -> IntExpr:
-        return self._additive(allow_dims)
+        return self._parse(False, allow_dims)
 
-    def _additive(self, allow_dims: bool) -> IntExpr:
-        left = self._multiplicative(allow_dims)
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.take().value
-            left = BinOp(op, left, self._multiplicative(allow_dims))
-        return left
+    def parse_guard(self) -> Guard:
+        return self._parse(True, False)
 
-    def _multiplicative(self, allow_dims: bool) -> IntExpr:
-        left = self._power(allow_dims)
-        while self.peek().kind == "op" and self.peek().value == "*":
-            self.take()
-            left = BinOp("*", left, self._power(allow_dims))
-        return left
+    def _parse(self, guard: bool, allow_dims: bool):
+        """One guard, or one expression when guard is False, read from _PREC
+        with explicit operand and operator stacks (Dijkstra's shunting-yard),
+        so nesting costs list entries, not stack frames.
 
-    def _power(self, allow_dims: bool) -> IntExpr:
-        base = self._primary(allow_dims)
-        if self.peek().kind == "op" and self.peek().value == "^":
-            self.take()
-            return BinOp("^", base, self._power(allow_dims))
-        return base
+        `state` says what the innermost open group holds after an operand:
+        "e" an expression where no comparison may stand, "g" a guard, "r"
+        the right side of a comparison, "x" an expression that began the
+        group, which may close it or begin a comparison, and "l" any other
+        expression, which must begin a comparison. A "(" where a guard may
+        stand holds either kind, decided at its ")", so no token is read
+        twice. An open group is a tuple on `ops`: the state its ")" leaves
+        when it holds an expression, and the base of an ispow or None.
+        """
+        toks = self.toks
+        pos = self.pos
+        operands: list = []
+        ops: list = []
+        state = "e"
+        may_guard = guard
+        while True:
+            # an operand, after any "not"s and opening groups
+            t = toks[pos]
+            value = t.value
+            if may_guard:
+                state = "x" if not ops or type(ops[-1]) is tuple else "l"
+            if value == "(" and t.kind == "op":
+                ops.append((state, None))
+                pos += 1
+                state = "e"
+                continue
+            if may_guard and t.kind == "ident" and value in ("not", "ispow", "default"):
+                pos += 1
+                if value == "not":
+                    ops.append("not")
+                    continue
+                if value == "ispow":
+                    self.pos = pos
+                    self.expect_op("(")
+                    base, base_tok = self.expect_int()
+                    if base < 2:
+                        self.fail("ispow base must be >= 2", base_tok)
+                    self.expect_op(",")
+                    pos = self.pos
+                    ops.append(("g", base))
+                    state = "e"
+                    may_guard = False
+                    continue
+                operands.append(Always())
+                state = "g"
+            else:
+                self.pos = pos
+                operands.append(self._atom(t, allow_dims))
+                pos = self.pos
+            # binary operators, and the ")" of each group they complete
+            while True:
+                t = toks[pos]
+                value = t.value
+                p = _PREC.get(value, 0)
+                if p > 4 and state != "g" or p == 4 and state in "xl" or 0 < p < 3 and state in "gr":
+                    while ops and type(ops[-1]) is str and _PREC[ops[-1]] >= p + (value == "^"):
+                        _reduce(ops.pop(), operands)
+                    ops.append(value)
+                    pos += 1
+                    if p == 4:
+                        state = "r"
+                    may_guard = p < 3
+                    break
+                while ops and type(ops[-1]) is str:
+                    _reduce(ops.pop(), operands)
+                if state == "l" or state == "x" and not (ops and value == ")"):
+                    self.fail("expected a comparison operator", t)
+                if not ops:
+                    self.pos = pos
+                    return operands[0]
+                if value != ")":
+                    self.pos = pos
+                    self.expect_op(")")
+                pos += 1
+                outer, base = ops.pop()
+                state = outer if state in "ex" else "g"
+                if base is not None:
+                    operands[-1] = IsPow(base, operands[-1])
 
-    def _primary(self, allow_dims: bool) -> IntExpr:
-        t = self.peek()
+    def _atom(self, t: _Token, allow_dims: bool) -> IntExpr:
+        """The literal, n, w(label) or h(label) that starts at token t."""
         if t.kind == "int":
             return Lit(self.expect_int()[0])
         if t.kind == "ident" and t.value == "n":
@@ -235,73 +331,8 @@ class _Parser:
             label = self.expect_name("label").value
             self.expect_op(")")
             return Dim(axis, label)
-        if t.kind == "op" and t.value == "(":
-            self.take()
-            inner = self.parse_expr(allow_dims)
-            self.expect_op(")")
-            return inner
         found = t.value if t.kind != "eof" else "end of input"
         self.fail(f"expected an expression, found {found!r}")
-
-    # -- guards -------------------------------------------------------------
-
-    def parse_guard(self) -> Guard:
-        return self._or_guard()
-
-    def _or_guard(self) -> Guard:
-        left = self._and_guard()
-        while self.at_keyword("or"):
-            self.take()
-            left = Or(left, self._and_guard())
-        return left
-
-    def _and_guard(self) -> Guard:
-        left = self._not_guard()
-        while self.at_keyword("and"):
-            self.take()
-            left = And(left, self._not_guard())
-        return left
-
-    def _not_guard(self) -> Guard:
-        if self.at_keyword("not"):
-            self.take()
-            return Not(self._not_guard())
-        return self._guard_atom()
-
-    def _guard_atom(self) -> Guard:
-        t = self.peek()
-        if self.at_keyword("default"):
-            self.take()
-            return Always()
-        if self.at_keyword("ispow"):
-            self.take()
-            self.expect_op("(")
-            base, base_tok = self.expect_int()
-            if base < 2:
-                self.fail("ispow base must be >= 2", base_tok)
-            self.expect_op(",")
-            e = self.parse_expr(allow_dims=False)
-            self.expect_op(")")
-            return IsPow(base, e)
-        # Either a comparison or a parenthesized guard; try the comparison
-        # first and fall back, because both can begin with "(".
-        mark = self.pos
-        try:
-            left = self.parse_expr(allow_dims=False)
-            op_tok = self.peek()
-            if op_tok.kind == "op" and op_tok.value in ("==", "!=", "<", "<=", ">", ">="):
-                self.take()
-                right = self.parse_expr(allow_dims=False)
-                return Cmp(op_tok.value, left, right)
-            self.fail("expected a comparison operator", op_tok)
-        except ParseError:
-            self.pos = mark
-            if t.kind == "op" and t.value == "(":
-                self.take()
-                inner = self.parse_guard()
-                self.expect_op(")")
-                return inner
-            raise
 
     # -- structure ----------------------------------------------------------
 
@@ -460,77 +491,57 @@ def parse_rule(text: str, depth: int = 64) -> FusionRule:
 # Canonical formatting
 # ---------------------------------------------------------------------------
 
-_EXPR_PREC = {"+": 1, "-": 1, "*": 2, "^": 3}
+_WORDS = {node: word for word, node in _NODES.items()}
 
 
-def _expr_prec(e: IntExpr) -> int:
-    return _EXPR_PREC[e.op] if isinstance(e, BinOp) else 9
+def _op(node) -> str:
+    """The _PREC key of node's operator; "" for an atom."""
+    return node.op if isinstance(node, (BinOp, Cmp)) else _WORDS.get(type(node), "")
 
 
-def format_expr(e: IntExpr) -> str:
-    if isinstance(e, Lit):
-        return _decimal(e.value)
-    if isinstance(e, Var):
-        return "n"
-    if isinstance(e, Dim):
-        return f"{e.axis}({e.label})"
-    if isinstance(e, BinOp):
-        p = _EXPR_PREC[e.op]
-        left = format_expr(e.left)
-        right = format_expr(e.right)
-        if e.op == "^":
-            # right-associative
-            if _expr_prec(e.left) <= p:
-                left = f"({left})"
-            if _expr_prec(e.right) < p:
-                right = f"({right})"
-        else:
-            if _expr_prec(e.left) < p:
-                left = f"({left})"
-            if _expr_prec(e.right) <= p:
-                right = f"({right})"
-        return f"{left}{e.op}{right}"
-    raise TypeError(f"not an IntExpr: {e!r}")
+def _prec(node) -> int:
+    """node's rank in _PREC; 8, tighter than every operator, for an atom."""
+    return _PREC.get(_op(node), 8)
 
 
-_GUARD_PREC = {Or: 1, And: 2, Not: 3}
+def _format(node) -> str:
+    """Canonical text of an expression or guard, parenthesized from _PREC:
+    an operand is put in parentheses when it binds looser than its
+    operator, or as loose on the side its operator does not group to."""
+    op = _op(node)
+    if not op:
+        if isinstance(node, Lit):
+            return _decimal(node.value)
+        if isinstance(node, Var):
+            return "n"
+        if isinstance(node, Dim):
+            return f"{node.axis}({node.label})"
+        if isinstance(node, Always):
+            return "default"
+        if isinstance(node, IsPow):
+            return f"ispow({_decimal(node.base)},{_format(node.exponent)})"
+        raise TypeError(f"not an expression or guard: {node!r}")
+    p = _PREC[op]
+    if op == "not":
+        inner = _format(node.operand)
+        return f"not ({inner})" if _prec(node.operand) < p else f"not {inner}"
+    left, right = _format(node.left), _format(node.right)
+    if _prec(node.left) < p + (op == "^"):
+        left = f"({left})"
+    if _prec(node.right) <= p - (op == "^"):
+        right = f"({right})"
+    return f"{left}{op}{right}" if p > 4 else f"{left} {op} {right}"
 
 
-def _guard_prec(g: Guard) -> int:
-    return _GUARD_PREC.get(type(g), 9)
-
-
-def format_guard(g: Guard) -> str:
-    if isinstance(g, Always):
-        return "default"
-    if isinstance(g, Cmp):
-        return f"{format_expr(g.left)} {g.op} {format_expr(g.right)}"
-    if isinstance(g, IsPow):
-        return f"ispow({_decimal(g.base)},{format_expr(g.exponent)})"
-    if isinstance(g, Not):
-        inner = format_guard(g.operand)
-        if _guard_prec(g.operand) < 3:
-            inner = f"({inner})"
-        return f"not {inner}"
-    if isinstance(g, (And, Or)):
-        word = "and" if isinstance(g, And) else "or"
-        p = _guard_prec(g)
-        left = format_guard(g.left)
-        right = format_guard(g.right)
-        if _guard_prec(g.left) < p:
-            left = f"({left})"
-        if _guard_prec(g.right) <= p:
-            right = f"({right})"
-        return f"{left} {word} {right}"
-    raise TypeError(f"not a Guard: {g!r}")
+format_expr = format_guard = _format
 
 
 def _format_placement(p: Placement, first: bool) -> str:
     s = p.child
     if p.repeat != Lit(1):
-        s += f"^({format_expr(p.repeat)})"
+        s += f"^({_format(p.repeat)})"
     if p.offset is not None and not (first and p.offset == (Lit(0), Lit(0))):
-        s += f"@({format_expr(p.offset[0])},{format_expr(p.offset[1])})"
+        s += f"@({_format(p.offset[0])},{_format(p.offset[1])})"
     return s
 
 
@@ -558,6 +569,6 @@ def format_rule(rule: FusionRule) -> str:
             )
             line = f"  {d.label} = {body}"
             if not isinstance(d.guard, Always):
-                line += f" if {format_guard(d.guard)}"
+                line += f" if {_format(d.guard)}"
             lines.append(line)
     return "\n".join(lines) + "\n"

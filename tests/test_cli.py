@@ -258,6 +258,23 @@ class TestExitCodes:
         assert payload["result"] is None and payload["diagnostics"]
         assert all("code" not in d for d in payload["diagnostics"])
 
+    @pytest.mark.parametrize("tol", ["1/0", "abc"])
+    def test_unreadable_tolerance_is_a_usage_error(self, run_cli, tol):
+        argv = ["freq", "fibonacci", "--horizon", "5", "--tol", tol]
+        message = f"argument --tol: invalid fraction value: {tol!r}"
+        assert run_cli(argv) == (2, "", f"usage error: {message}\n")
+        code, out, err = run_cli(argv + ["--json"])
+        assert code == 2 and err == ""
+        payload = json.loads(out)  # exactly one envelope
+        assert payload["result"] is None
+        assert payload["diagnostics"] == [{"severity": "error", "message": message}]
+
+    @pytest.mark.parametrize("tol", ["1/1000", "0.001"])
+    def test_tolerance_as_fraction_or_decimal(self, run_cli, tol):
+        code, out, err = run_cli(["freq", "fibonacci", "--horizon", "5", "--tol", tol, "--json"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["ergodicity"]["tol"] == "1/1000"
+
     def test_negative_max_level_text(self, run_cli):
         code, out, err = run_cli(["admissible", "fibonacci", "--word", "AB", "--max-level", "-3"])
         assert (code, out, err) == (1, "", "error: max_level must be >= 0, got -3\n")
@@ -301,6 +318,11 @@ def same_decimal(text: str, value) -> bool:
     return Decimal(p) == value.numerator and Decimal(q or "1") == value.denominator
 
 
+def process_state():
+    """The interpreter settings no command may change."""
+    return gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits(), sys.getrecursionlimit()
+
+
 class TestLongNumbers:
     """Exact numbers past str()'s default 4300-digit limit."""
 
@@ -324,11 +346,11 @@ class TestLongNumbers:
         nines = "9" * 5000
         path = tmp_path / "long.fusion"
         path.write_text(f"rule long dim 1\nprototile A\nprototile B\nlevel default:\n  A = A^({nines}) B\n  B = A\n")
-        state = (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits())
+        state = process_state()
         code, out, err = run_cli(["parse", str(path), "--json"])
         assert code == 0 and err == ""
         assert f"  A = A^({nines}) B\n" in json.loads(out)["result"]["canonical"]
-        assert (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits()) == state
+        assert process_state() == state
 
     def test_matrix_json_and_text(self, run_cli):
         argv = ["matrix", "ten_pow_n", "--from", "0", "--to", "120"]
@@ -349,10 +371,26 @@ class TestLongNumbers:
         assert len(count) > 4300 and Decimal(count) == cell_count(load_builtin("ten_pow_n"), 120, "A")
 
     def test_freq_leaves_process_state_alone(self, run_cli):
-        before = (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits())
+        before = process_state()
         code, _, _ = run_cli(["freq", "ten_pow_n", "--horizon", "120", "--json"])
         assert code == 0
-        assert (gc.isenabled(), gc.get_threshold(), sys.get_int_max_str_digits()) == before
+        assert process_state() == before
+
+
+class TestDeepNesting:
+    """Rule text nested past the default recursion limit of 1000."""
+
+    @pytest.mark.parametrize("argv", [["parse"], ["matrix", "--from", "0", "--to", "5"]], ids=["parse", "matrix"])
+    def test_200_deep_repeat_one_envelope(self, run_cli, tmp_path, argv):
+        path = tmp_path / "deep.fusion"
+        path.write_text(f"rule deep dim 1\nprototile A\nprototile B\nlevel default:\n  A = A^({'(' * 200}1{')' * 200}) B\n  B = A\n")
+        state = process_state()
+        argv = [argv[0], str(path), *argv[1:], "--json"]
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)  # exactly one envelope
+        assert payload["command"] == argv and payload["diagnostics"] == []
+        assert process_state() == state
 
 
 class TestRender:

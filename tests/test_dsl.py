@@ -1,4 +1,5 @@
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
@@ -23,6 +24,7 @@ from fusionlab.core import (
     Prototile,
     SupertileDef,
     Var,
+    resolve_level,
 )
 from fusionlab.dsl import (
     _DIGITS,
@@ -184,6 +186,22 @@ class TestParseErrors:
         (d,) = exc.value.diagnostics
         assert (d.span.line, d.span.column) == (5, 8)
         assert d.message == "repeats are only available in dimension 1"
+
+    @pytest.mark.parametrize(
+        "guard, message, column",
+        [
+            ("(1)", "expected a comparison operator", 53),
+            ("1", "expected a comparison operator", 51),
+            ("((n) >= not 2)", "expected an expression, found 'not'", 58),
+        ],
+    )
+    def test_error_names_the_token_where_parsing_stops(self, guard, message, column):
+        # a parenthesized expression with no comparison after it fails where
+        # its comparison operator is missing, not at its own ")"
+        with pytest.raises(ParseError) as exc:
+            parse_rule_text(f"rule r dim 1 prototile A level default: A = A if {guard}")
+        (d,) = exc.value.diagnostics
+        assert (d.message, d.span.column) == (message, column)
 
     def test_validation_errors_propagate(self):
         with pytest.raises(ValidationError) as ei:
@@ -361,6 +379,42 @@ class TestLongLiterals:
         assert sys.get_int_max_str_digits() == limit
 
 
+def _nested(text, depth=10_000):
+    return "(" * depth + text + ")" * depth
+
+
+class TestDeepNesting:
+    """Parentheses nested ten times past the default recursion limit cost
+    the parser list entries, not stack frames."""
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (f"rule r dim 1 prototile A prototile B level default: A = A^({_nested('n+1')}) B B = A", "  A = A^(n+1) B"),
+            (f"rule r dim 2 prototile A level default: A = A A@({_nested('w(A)')},{_nested('0')})", "  A = A A@(w(A),0)"),
+            (f"rule r dim 1 prototile A level {_nested('n >= 0')}: A = A A", "  A = A A if n >= 0"),
+            (f"rule r dim 1 prototile A level default: A = A A if {_nested('(n) == 1')} or {_nested('n')} == 2 A = A", "  A = A A if n == 1 or n == 2"),
+        ],
+        ids=["repeat", "offset", "level", "if"],
+    )
+    def test_parse_format_round_trip_and_resolve(self, text, line):
+        limit = sys.getrecursionlimit()
+        start = time.perf_counter()
+        rule = parse_rule(text)
+        canonical = format_rule(rule)
+        assert line in canonical.splitlines()
+        assert parse_rule(canonical) == rule
+        assert len(resolve_level(rule, 2).supertiles) == len(rule.prototiles)
+        assert time.perf_counter() - start < 1
+        assert sys.getrecursionlimit() == limit
+
+    def test_unclosed_group_is_named_at_end_of_input(self):
+        with pytest.raises(ParseError) as exc:
+            parse_rule_text("rule r dim 1 prototile A level default: A = A if " + "(" * 10_000 + "n == 1")
+        (d,) = exc.value.diagnostics
+        assert d.message == "expected ')', found end of input"
+
+
 # the incremental tokenizer that tracked line, column and byte offset per
 # character: the oracle for _tokenize's starts and the spans _span builds
 
@@ -481,3 +535,292 @@ def test_tokens_and_spans_match_the_incremental_oracle(name, edits):
     else:
         assert [(t.kind, t.value, _span(text, t.start, len(t.value))) for t in _tokenize(text)] == want
     assert _outcome(lambda: parse_rule_text(text)) == _outcome(lambda: _OracleParser(text).parse_rule())
+
+
+# The recursive-descent parser and the two formatters that _Parser._parse
+# and _format replaced, kept as oracles. They read precedence from the call
+# order of their methods and from two tables, and _guard_atom parses a
+# parenthesized guard twice: as a comparison, then again as a guard.
+
+
+class _RecursiveParser(_Parser):
+    def parse_expr(self, allow_dims=True):
+        return self._additive(allow_dims)
+
+    def _additive(self, allow_dims):
+        left = self._multiplicative(allow_dims)
+        while self.peek().kind == "op" and self.peek().value in "+-":
+            op = self.take().value
+            left = BinOp(op, left, self._multiplicative(allow_dims))
+        return left
+
+    def _multiplicative(self, allow_dims):
+        left = self._power(allow_dims)
+        while self.peek().kind == "op" and self.peek().value == "*":
+            self.take()
+            left = BinOp("*", left, self._power(allow_dims))
+        return left
+
+    def _power(self, allow_dims):
+        base = self._primary(allow_dims)
+        if self.peek().kind == "op" and self.peek().value == "^":
+            self.take()
+            return BinOp("^", base, self._power(allow_dims))
+        return base
+
+    def _primary(self, allow_dims):
+        t = self.peek()
+        if t.kind == "int":
+            return Lit(self.expect_int()[0])
+        if t.kind == "ident" and t.value == "n":
+            self.take()
+            return Var()
+        if t.kind == "ident" and t.value in ("w", "h"):
+            if not allow_dims:
+                self.fail("w()/h() cannot appear in a guard")
+            if t.value == "h" and self.dimension == 1:
+                self.fail("h() is only available in dimension 2")
+            axis = self.take().value
+            self.expect_op("(")
+            label = self.expect_name("label").value
+            self.expect_op(")")
+            return Dim(axis, label)
+        if t.kind == "op" and t.value == "(":
+            self.take()
+            inner = self.parse_expr(allow_dims)
+            self.expect_op(")")
+            return inner
+        found = t.value if t.kind != "eof" else "end of input"
+        self.fail(f"expected an expression, found {found!r}")
+
+    def parse_guard(self):
+        return self._or_guard()
+
+    def _or_guard(self):
+        left = self._and_guard()
+        while self.at_keyword("or"):
+            self.take()
+            left = Or(left, self._and_guard())
+        return left
+
+    def _and_guard(self):
+        left = self._not_guard()
+        while self.at_keyword("and"):
+            self.take()
+            left = And(left, self._not_guard())
+        return left
+
+    def _not_guard(self):
+        if self.at_keyword("not"):
+            self.take()
+            return Not(self._not_guard())
+        return self._guard_atom()
+
+    def _guard_atom(self):
+        t = self.peek()
+        if self.at_keyword("default"):
+            self.take()
+            return Always()
+        if self.at_keyword("ispow"):
+            self.take()
+            self.expect_op("(")
+            base, base_tok = self.expect_int()
+            if base < 2:
+                self.fail("ispow base must be >= 2", base_tok)
+            self.expect_op(",")
+            e = self.parse_expr(allow_dims=False)
+            self.expect_op(")")
+            return IsPow(base, e)
+        mark = self.pos
+        try:
+            left = self.parse_expr(allow_dims=False)
+            op_tok = self.peek()
+            if op_tok.kind == "op" and op_tok.value in ("==", "!=", "<", "<=", ">", ">="):
+                self.take()
+                right = self.parse_expr(allow_dims=False)
+                return Cmp(op_tok.value, left, right)
+            self.fail("expected a comparison operator", op_tok)
+        except ParseError:
+            self.pos = mark
+            if t.kind == "op" and t.value == "(":
+                self.take()
+                inner = self.parse_guard()
+                self.expect_op(")")
+                return inner
+            raise
+
+
+_ORACLE_EXPR_PREC = {"+": 1, "-": 1, "*": 2, "^": 3}
+
+
+def _oracle_expr_prec(e):
+    return _ORACLE_EXPR_PREC[e.op] if isinstance(e, BinOp) else 9
+
+
+def oracle_format_expr(e):
+    if isinstance(e, Lit):
+        return str(e.value)
+    if isinstance(e, Var):
+        return "n"
+    if isinstance(e, Dim):
+        return f"{e.axis}({e.label})"
+    p = _ORACLE_EXPR_PREC[e.op]
+    left = oracle_format_expr(e.left)
+    right = oracle_format_expr(e.right)
+    if e.op == "^":
+        if _oracle_expr_prec(e.left) <= p:
+            left = f"({left})"
+        if _oracle_expr_prec(e.right) < p:
+            right = f"({right})"
+    else:
+        if _oracle_expr_prec(e.left) < p:
+            left = f"({left})"
+        if _oracle_expr_prec(e.right) <= p:
+            right = f"({right})"
+    return f"{left}{e.op}{right}"
+
+
+_ORACLE_GUARD_PREC = {Or: 1, And: 2, Not: 3}
+
+
+def _oracle_guard_prec(g):
+    return _ORACLE_GUARD_PREC.get(type(g), 9)
+
+
+def oracle_format_guard(g):
+    if isinstance(g, Always):
+        return "default"
+    if isinstance(g, Cmp):
+        return f"{oracle_format_expr(g.left)} {g.op} {oracle_format_expr(g.right)}"
+    if isinstance(g, IsPow):
+        return f"ispow({g.base},{oracle_format_expr(g.exponent)})"
+    if isinstance(g, Not):
+        inner = oracle_format_guard(g.operand)
+        if _oracle_guard_prec(g.operand) < 3:
+            inner = f"({inner})"
+        return f"not {inner}"
+    word = "and" if isinstance(g, And) else "or"
+    p = _oracle_guard_prec(g)
+    left = oracle_format_guard(g.left)
+    right = oracle_format_guard(g.right)
+    if _oracle_guard_prec(g.left) < p:
+        left = f"({left})"
+    if _oracle_guard_prec(g.right) <= p:
+        right = f"({right})"
+    return f"{left} {word} {right}"
+
+
+def expr_trees(dims=True):
+    """Random expressions: literals >= 0, n, and w(A)/h(A) when dims."""
+    leaves = st.one_of(st.integers(0, 10**30).map(Lit), st.just(Var()))
+    if dims:
+        leaves = st.one_of(leaves, st.sampled_from((Dim("w", "A"), Dim("h", "A"))))
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(BinOp, st.sampled_from("+-*^"), sub, sub),
+        max_leaves=12,
+    )
+
+
+_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+guard_trees = st.recursive(
+    st.one_of(
+        st.just(Always()),
+        st.builds(Cmp, st.sampled_from(_CMP_OPS), expr_trees(False), expr_trees(False)),
+        st.builds(IsPow, st.integers(2, 12), expr_trees(False)),
+    ),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=8,
+)
+
+
+def _read(text, guard, dimension=2):
+    """The tree one parser reads from the whole of text."""
+    p = _Parser(text)
+    p.dimension = dimension
+    tree = p.parse_guard() if guard else p.parse_expr()
+    assert p.peek().kind == "eof"
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=st.one_of(expr_trees(), guard_trees))
+def test_format_matches_the_oracle_and_round_trips(tree):
+    guard = not isinstance(tree, (Lit, Var, Dim, BinOp))
+    text = (format_guard if guard else format_expr)(tree)
+    assert text == (oracle_format_guard if guard else oracle_format_expr)(tree)
+    assert _read(text, guard) == tree
+
+
+# one token each, as the tokenizer splits text; "w(A)" and "ispow(" are two
+_VOCABULARY = (
+    "n", "0", "1", "12", "w(A)", "h(A)", "default", "ispow(",
+    "+", "-", "*", "^", "==", "!=", "<", "<=", ">", ">=",
+    "and", "or", "not", "(", ")", ",", ":", "@",
+)
+
+_CONTEXTS = (
+    "rule r dim 1 prototile A level {}: A = A\n",
+    "rule r dim 1 prototile A level default: A = A if {}\n",
+    "rule r dim 1 prototile A level default: A = A^({}) A\n",
+    "rule r dim 2 prototile A level default: A = A A@({},1)\n",
+)
+
+
+def _mutate(data, text):
+    """text with up to two tokens inserted, deleted or replaced, or a run
+    of tokens wrapped in one pair of parentheses."""
+    words = [t.value for t in _tokenize(text)[:-1]]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(words)))
+        edit = data.draw(st.sampled_from(("insert", "delete", "replace", "wrap")))
+        if edit == "insert":
+            words.insert(i, data.draw(st.sampled_from(_VOCABULARY)))
+        elif edit == "wrap":
+            j = data.draw(st.integers(i, len(words)))
+            words[i:j] = ["(", *words[i:j], ")"]
+        elif i < len(words):
+            words[i : i + 1] = [data.draw(st.sampled_from(_VOCABULARY))] if edit == "replace" else []
+    return " ".join(words)
+
+
+def _declared_move(old, new):
+    """The one class where the parsers differ: a parenthesized expression
+    where a guard may stand, with no comparison after it. The oracle fails
+    its second, guard-mode attempt at a ")" with "expected a comparison
+    operator"; _parse reports where parsing stops, which is later."""
+    if old[0] != "parse" or new[0] != "parse":
+        return False
+    (o,), (d,) = old[1], new[1]
+    return o.message == "expected a comparison operator" and d.span.offset > o.span.offset
+
+
+def _assert_parsers_agree(text):
+    for context in _CONTEXTS:
+        rule_text = context.format(text)
+        new = _outcome(lambda: _Parser(rule_text).parse_rule())
+        old = _outcome(lambda: _RecursiveParser(rule_text).parse_rule())
+        assert new == old or _declared_move(old, new), rule_text
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=st.one_of(expr_trees(), guard_trees), data=st.data())
+def test_parse_matches_the_recursive_oracle(tree, data):
+    guard = not isinstance(tree, (Lit, Var, Dim, BinOp))
+    _assert_parsers_agree(_mutate(data, (format_guard if guard else format_expr)(tree)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(n) == 1", "((n)) == (1)", "(n == 1)", "((n) == 1)", "(n + 1) * 2 < n",
+        "not (n) == 1", "(not n == 1)", "(not n)", "(not n) == 1", "(n == 1 and n)", "(n == 1 and n) == 1",
+        "(default)", "(default) + 1", "(n == 1) + 1", "(n == 1) == 1",
+        "n == 1 == 2", "(n == 1 == 2)", "n == (1 == 2)", "n and n == 1",
+        "(ispow(2,n))", "ispow(2,(n)) == 1", "ispow(2,n == 1)", "(1)", "((n) :",
+        "2^3^2 == n", "(2^3)^2 == n", "n - 1 - 1 == n", "n - (1 - 1) == n",
+    ],
+)
+def test_grammar_edges_match_the_recursive_oracle(text):
+    _assert_parsers_agree(text)
