@@ -9,11 +9,14 @@ text before anything is compared with it.
 The frequency hull at (n, N) is the set of volume-normalized columns of
 M_{n,N}: every achievable level-n frequency vector, as seen from horizon N,
 is a convex combination of these vertices. A hull shrinking to a point is
-evidence (never proof, at finite depth) of a unique frequency measure. The
-hull sweep compares pair distances in integers, over the columns and the
-numerators and denominators of the volumes, and normalizes one Fraction per
-horizon, its diameter; vertex Fractions are built only where a result
-returns them.
+evidence (never proof, at finite depth) of a unique frequency measure.
+A vertex does not change when the whole matrix is scaled, as a column and
+its volume scale together, so the hulls read M_{n,N} with the gcd of its
+entries divided out (transition._reduced_column_rows), and each horizon's
+volumes are summed from those reduced columns, never read from the rule's
+volume table past level n. The hull sweep compares pair distances in
+integers and normalizes one Fraction per horizon, its diameter; vertex
+Fractions are built only where a result returns them.
 
 A 2D van Hove ratio is read from the supertile's row runs, which one
 fold over the levels merges from the children's runs, so its cost grows
@@ -32,7 +35,7 @@ from math import gcd, lcm
 from typing import Optional, Union
 
 from .core import FusionRule, Runs, _entry, resolve_level
-from .errors import InvalidRangeError
+from .errors import InvalidRangeError, _frac_str
 from .expand import (
     CellPatch,
     _cap,
@@ -43,7 +46,7 @@ from .expand import (
     expand_supertile,
     occurrences_2d,
 )
-from .transition import _column_rows, volumes
+from .transition import _column_rows, _reduced_column_rows, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +75,9 @@ def primitivity_check(rule: FusionRule, n: int, max_offset: int) -> PrimitivityR
     every column), so scanning stops at the first success.
     """
     if max_offset < 1:
-        raise InvalidRangeError(n, n + max_offset)
+        raise InvalidRangeError(n, n + max_offset, "0 <= from < to")
     if n < 0:
-        raise InvalidRangeError(n, n)
+        raise InvalidRangeError(n, n, "0 <= from < to")
     for d, cols in enumerate(_column_rows(rule, n, n + max_offset)):
         if d and all(e > 0 for col in cols.values() for e in col):
             return PrimitivityResult(n, max_offset, d)
@@ -229,57 +232,71 @@ class FrequencyHull:
     centroid: tuple[Fraction, ...]
 
 
-def _widest_pair(cols, vol_n, vol_N) -> tuple[Fraction, int, int]:
+def _over_one_denominator(vol_n) -> tuple[int, list[int]]:
+    """The level-n volumes over their least common denominator L: (L, w)
+    with vol_n[i] = w[i]/L."""
+    L = lcm(*(v.denominator for v in vol_n))
+    return L, [v.numerator * (L // v.denominator) for v in vol_n]
+
+
+def _scaled_volumes(cols, w) -> tuple[int, ...]:
+    """sum_i w_i M_ij for each column j: the level-N volumes times L, over
+    the same common factor as the columns."""
+    return tuple(sum(wi * x for wi, x in zip(w, col)) for col in cols)
+
+
+def _widest_pair(cols, w, vols) -> tuple[Fraction, int, int]:
     """The largest volume-weighted L1 distance between two vertices of the
     hull of the columns cols and the first pair (a, b) attaining it;
     (0, 0, 0) for a single vertex.
 
-    With vol_n[i] = w_i/L over one denominator L and vol_N[j] = p_j/q_j,
-    vertex j is M_ij q_j/p_j, so the distance of (a, b) is
-        sum_i w_i |M_ia q_a p_b' - M_ib q_b p_a'| / (L g p_a' p_b')
-    where g = gcd(p_a, p_b), p_a = g p_a' and p_b = g p_b'. Pairs are
-    compared in integers by cross-multiplication, and only the widest
-    becomes a Fraction.
+    The columns are M_{n,N} over any common factor c, and vols are their
+    _scaled_volumes, s_j = c L vol_N[j] for vol_n[i] = w_i/L: a level-N
+    volume is the sum of the level-n volumes it holds. Vertex j is
+    M_ij/vol_N[j] = L M_ij/s_j, in which c cancels, so a matrix reduced by
+    its content has the hull of the full one. The distance of (a, b) is
+        sum_i w_i |M_ia s_b' - M_ib s_a'| / (g s_a' s_b')
+    where g = gcd(s_a, s_b), s_a = g s_a' and s_b = g s_b'; L cancels too.
+    Pairs are compared in integers by cross-multiplication, and only the
+    widest becomes a Fraction.
     """
-    L = lcm(*(v.denominator for v in vol_n))
-    w = [v.numerator * (L // v.denominator) for v in vol_n]
     best = None
     for a in range(len(cols)):
         for b in range(a + 1, len(cols)):
-            pa, pb = vol_N[a].numerator, vol_N[b].numerator
-            g = gcd(pa, pb)
-            pa, pb = pa // g, pb // g
-            ka, kb = vol_N[a].denominator * pb, vol_N[b].denominator * pa
-            num = sum(wi * abs(x * ka - y * kb) for wi, x, y in zip(w, cols[a], cols[b]))
-            den = g * pa * pb
+            g = gcd(vols[a], vols[b])
+            sa, sb = vols[a] // g, vols[b] // g
+            num = sum(wi * abs(x * sb - y * sa) for wi, x, y in zip(w, cols[a], cols[b]))
+            den = g * sa * sb
             if best is None or num * best[1] > best[0] * den:
                 best = (num, den, a, b)
     if best is None:
         return Fraction(0), 0, 0
     num, den, a, b = best
-    return Fraction(num, L * den), a, b
+    return Fraction(num, den), a, b
 
 
-def _vertex(col, vol: Fraction, vol_n, memo: dict) -> tuple[Fraction, ...]:
-    """A column over its supertile's volume. Equal (count, volume) pairs of
-    one horizon share the Fraction kept in memo. A vertex is volume
-    normalized, sum_i vol_n[i] v_i = 1, so the second of two coordinates is
+def _vertex(col, s: int, L: int, vol_n, memo: dict) -> tuple[Fraction, ...]:
+    """A column over its supertile's volume, s/L over the column's common
+    factor (see _widest_pair). Equal (count, s) pairs of one horizon share
+    the Fraction kept in memo. A vertex is volume normalized,
+    sum_i vol_n[i] v_i = 1, so the second of two coordinates is
     (1 - vol_n[0] v_0) / vol_n[1], with no gcd at the size of the column."""
     out = []
     for i, x in enumerate(col):
-        if (x, vol) not in memo:
+        if (x, s) not in memo:
             if i == 1 and len(col) == 2:
-                memo[x, vol] = (1 - vol_n[0] * out[0]) / vol_n[1]
+                memo[x, s] = (1 - vol_n[0] * out[0]) / vol_n[1]
             else:
-                memo[x, vol] = x / vol
-        out.append(memo[x, vol])
+                memo[x, s] = Fraction(x * L, s)
+        out.append(memo[x, s])
     return tuple(out)
 
 
-def _hull(n: int, N: int, labels, cols: dict, vol_n, vol_N, diameter: Fraction) -> FrequencyHull:
-    """The hull of M_{n,N} from its columns by label and its diameter."""
+def _hull(n: int, N: int, labels, cols: dict, vol_n, L: int, vols, diameter: Fraction) -> FrequencyHull:
+    """The hull of M_{n,N} from its columns by label, their scaled volumes
+    and its diameter."""
     memo: dict = {}
-    vertices = tuple(_vertex(col, vol, vol_n, memo) for col, vol in zip(cols.values(), vol_N))
+    vertices = tuple(_vertex(col, s, L, vol_n, memo) for col, s in zip(cols.values(), vols))
     k = len(vertices)
     centroid = tuple(sum((v[i] for v in vertices), Fraction(0)) / k for i in range(len(labels)))
     return FrequencyHull(n, N, labels, tuple(cols), vertices, diameter, centroid)
@@ -287,12 +304,15 @@ def _hull(n: int, N: int, labels, cols: dict, vol_n, vol_N, diameter: Fraction) 
 
 def frequency_hull(rule: FusionRule, n: int, N: int) -> FrequencyHull:
     """Volume-normalized columns of M_{n,N} plus diameter and centroid."""
-    if N <= n:
-        raise InvalidRangeError(n, N)
-    cols = deque(_column_rows(rule, n, N), maxlen=1)[0]
-    vol_n, vol_N = volumes(rule, n).values, volumes(rule, N).values
-    diameter, _, _ = _widest_pair(tuple(cols.values()), vol_n, vol_N)
-    return _hull(n, N, resolve_level(rule, n).labels, cols, vol_n, vol_N, diameter)
+    if N <= n or n < 0:
+        raise InvalidRangeError(n, N, "0 <= from < to")
+    cols = deque(_reduced_column_rows(rule, n, N), maxlen=1)[0]
+    vol_n = volumes(rule, n).values
+    L, w = _over_one_denominator(vol_n)
+    cols_N = tuple(cols.values())
+    vols = _scaled_volumes(cols_N, w)
+    diameter, _, _ = _widest_pair(cols_N, w, vols)
+    return _hull(n, N, resolve_level(rule, n).labels, cols, vol_n, L, vols, diameter)
 
 
 @dataclass(frozen=True)
@@ -333,28 +353,34 @@ def ergodicity_report(
     the trailing window stays above floor (slow contractions stay
     undecided). A float tol or floor is read as its decimal text (0.1 is
     1/10), and the report stores that tol. Verdicts are finite-depth
-    diagnostics, not proofs. window must be at least 1.
+    diagnostics, not proofs. window must be at least 1, and tol and floor
+    at least 0.
 
-    Each horizon costs one Fraction, its diameter (_widest_pair). Vertex
-    Fractions are built for the hull at depth and, when the verdict is
-    multiple, for the two trajectory vertices of every horizon.
+    Each horizon costs the gcd that reduces its columns
+    (transition._reduced_column_rows) and one Fraction, its diameter
+    (_widest_pair). Vertex Fractions are built for the hull at depth and,
+    when the verdict is multiple, for the two trajectory vertices of every
+    horizon.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if depth <= n:
-        raise InvalidRangeError(n, depth)
+        raise InvalidRangeError(n, depth, "0 <= from < to")
     tol, floor = _exact(tol), _exact(floor)
+    if tol < 0 or floor < 0:
+        raise ValueError(f"tol and floor must be >= 0, got tol {_frac_str(tol)} and floor {_frac_str(floor)}")
     vol_n = volumes(rule, n).values
+    L, w = _over_one_denominator(vol_n)
     diameters = []
-    ends = []  # per horizon, (label, column, volume) of both ends of the widest pair
-    for N, cols in enumerate(islice(_column_rows(rule, n, depth), 1, None), n + 1):
-        vol_N = volumes(rule, N).values
+    ends = []  # per horizon, (label, column, scaled volume) of both ends of the widest pair
+    for cols in islice(_reduced_column_rows(rule, n, depth), 1, None):
         labels_N, cols_N = tuple(cols), tuple(cols.values())
-        diameter, a, b = _widest_pair(cols_N, vol_n, vol_N)
+        vols = _scaled_volumes(cols_N, w)
+        diameter, a, b = _widest_pair(cols_N, w, vols)
         diameters.append(diameter)
-        ends.append(tuple((labels_N[j], cols_N[j], vol_N[j]) for j in (a, b)))
+        ends.append(tuple((labels_N[j], cols_N[j], vols[j]) for j in (a, b)))
     # the loop leaves the last horizon's columns, volumes and diameter
-    hull = _hull(n, depth, resolve_level(rule, n).labels, cols, vol_n, vol_N, diameter)
+    hull = _hull(n, depth, resolve_level(rule, n).labels, cols, vol_n, L, vols, diameter)
     trajectories = None
     if diameters[-1] < tol:
         verdict = "unique"
@@ -363,7 +389,7 @@ def ergodicity_report(
         steps = []
         for step in ends:
             memo: dict = {}  # shared by both ends of one horizon
-            steps.append(tuple((label, _vertex(col, vol, vol_n, memo)) for label, col, vol in step))
+            steps.append(tuple((label, _vertex(col, s, L, vol_n, memo)) for label, col, s in step))
         trajectories = tuple(zip(*steps))
     else:
         verdict = "undecided"

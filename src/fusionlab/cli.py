@@ -112,12 +112,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fraction(text: str) -> Fraction:
-    """argparse type: an exact Fraction from "p/q" or a decimal such as 0.001."""
+def _nonnegative_fraction(text: str) -> Fraction:
+    """argparse type: an exact Fraction of at least 0 from "p/q" or a decimal
+    such as 0.001."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +445,7 @@ def build_parser() -> _ArgumentParser:
     _add_rule_arguments(sp)
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--tol", type=_fraction, default=Fraction(1, 10**6), help="uniqueness tolerance, e.g. 1/1000000")
+    sp.add_argument("--tol", type=_nonnegative_fraction, default=Fraction(1, 10**6), help="uniqueness tolerance, e.g. 1/1000000")
     sp.set_defaults(handler=_cmd_freq)
 
     sp = sub.add_parser("patchfreq", help="frequency interval of a word or patch")

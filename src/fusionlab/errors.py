@@ -99,8 +99,11 @@ class InvalidRepeatError(FusionError):
 
 
 class InvalidRangeError(FusionError):
-    def __init__(self, n: int, m: int):
-        super().__init__(f"invalid level range: need 0 <= from <= to, got from={n} to={m}")
+    """Levels from n to m that a call cannot take; need is the condition
+    that the call checks, and got, when given, replaces "from=n to=m"."""
+
+    def __init__(self, n: int, m: int, need: str = "0 <= from <= to", got: str = ""):
+        super().__init__(f"invalid level range: need {need}, got {got or f'from={n} to={m}'}")
         self.from_level = n
         self.to_level = m
 

@@ -9,6 +9,12 @@ is the canonical supertile order of the respective levels.
 A matrix is built by one fold of columns over the levels: column j of
 M[n -> k] sums repeat x child column of M[n -> k-1] over the body of
 level-k supertile j. compose is the independent matrix product.
+
+The hulls read M[n -> k] up to scale only, so their fold
+(_reduced_column_rows) divides each level's matrix by its content, the gcd
+of its entries. As M[n -> k+1] = M[n -> k] . S for the step matrix S, the
+content of one level divides the content of the next, and the reduced
+matrix can be carried forward in its place.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import FusionRule, _fold_levels, _weighted_sums, resolve_level
 from .errors import InvalidRangeError, UnknownLabelError
@@ -64,9 +71,13 @@ def _index(labels: tuple[str, ...], label: str, level: int) -> int:
 
 
 def compose(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
-    """Matrix product a . b, counting through the intermediate level."""
+    """Matrix product a . b, counting through the intermediate level, which
+    a's columns and b's rows must both be (InvalidRangeError otherwise)."""
     if a.to_level != b.from_level or a.col_labels != b.row_labels:
-        raise InvalidRangeError(a.to_level, b.from_level)
+        raise InvalidRangeError(
+            a.to_level, b.from_level, "a.to_level == b.from_level and a.col_labels == b.row_labels",
+            f"a.to_level={a.to_level} b.from_level={b.from_level} a.col_labels={a.col_labels} b.row_labels={b.row_labels}",
+        )
     entries = tuple(
         tuple(
             sum(a.entries[i][k] * b.entries[k][j] for k in range(len(a.col_labels)))
@@ -105,6 +116,32 @@ def _column_rows(rule: FusionRule, n: int, N: int):
         return tuple(map(sum, zip(*parts)))
 
     return _fold_levels(rule, N, unit, column, bottom=n)
+
+
+def _reduced_column_rows(rule: FusionRule, n: int, N: int):
+    """Yield, per level k = n..N, the columns of M[n -> k] by label divided
+    by the matrix's content, so that their entries have gcd 1.
+
+    _fold_levels folds the next level from the very dict it yielded, so the
+    division, done in that dict, carries the reduced matrix forward.
+    """
+    for cols in _column_rows(rule, n, N):
+        g = _content(cols)
+        if g > 1:
+            for label, col in cols.items():
+                cols[label] = tuple(e // g for e in col)
+        yield cols
+
+
+def _content(cols: dict) -> int:
+    """The gcd of every entry of the columns, stopping once it is 1."""
+    g = 0
+    for col in cols.values():
+        for e in col:
+            g = gcd(g, e)
+            if g == 1:
+                return 1
+    return g
 
 
 def _matrix(n: int, N: int, row_labels: tuple[str, ...], cols: dict) -> TransitionMatrix:

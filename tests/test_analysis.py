@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from fusionlab.expand import (
     label_chars,
     word_string,
 )
-from fusionlab.transition import transition_matrix, volumes
+from fusionlab.transition import _column_rows, _reduced_column_rows, transition_matrix, volumes
 
 ONE_D = ("thue_morse", "fibonacci", "fiblike", "ten_pow_n")
 ALL = ONE_D + ("chair", "fib2d")
@@ -88,8 +89,8 @@ class TestPrimitivity:
                 seen_positive = seen_positive or pos
 
     def test_max_offset_must_be_positive(self):
-        with pytest.raises(InvalidRangeError):
-            primitivity_check(load_builtin("fibonacci"), 0, 0)
+        with pytest.raises(InvalidRangeError, match=r"need 0 <= from < to, got from=5 to=5$"):
+            primitivity_check(load_builtin("fibonacci"), 5, 0)
 
     @pytest.mark.parametrize("max_offset", [1, 3])
     def test_negative_level_names_its_own_range(self, max_offset):
@@ -436,8 +437,9 @@ class TestFrequencyHull:
             assert pushed == low.vertices[j]
 
     def test_invalid_range(self):
-        with pytest.raises(InvalidRangeError):
-            frequency_hull(load_builtin("fibonacci"), 3, 3)
+        for n, N in ((3, 3), (3, 1), (-1, 5)):
+            with pytest.raises(InvalidRangeError, match=rf"need 0 <= from < to, got from={n} to={N}$"):
+                frequency_hull(load_builtin("fibonacci"), n, N)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +514,39 @@ def fractional_1d_rules(draw):
     return FusionRule("fractional", 1, prototiles, definitions)
 
 
+@st.composite
+def shared_factor_1d_rules(draw):
+    """Random 1D rules like fractional_1d_rules whose repeats all share a
+    drawn factor f, 2, 3 or 6, so that f^(N - n) divides every entry of
+    M_{n,N}: the hull reads a matrix whose content is above 1."""
+    f = draw(st.sampled_from((2, 3, 6)))
+    names = ("A", "B", "C")[: draw(st.integers(min_value=1, max_value=3))]
+    repeat = st.sampled_from((Lit(f), Lit(2 * f), BinOp("*", Lit(f), Var()), BinOp("*", Lit(f), BinOp("+", Var(), Lit(1)))))
+    placement = st.builds(Placement, st.sampled_from(names), repeat)
+    definitions = tuple(
+        SupertileDef(name, tuple(draw(st.lists(placement, min_size=1, max_size=3)))) for name in names
+    )
+    # Fraction volumes only: the oracle divides by them, and an int volume
+    # would make its vertices floats
+    volume = st.sampled_from(FRACTIONAL_VOLUMES + (Fraction(1), Fraction(2)))
+    prototiles = tuple(Prototile(name, draw(volume)) for name in names)
+    return FusionRule("shared", 1, prototiles, definitions), f
+
+
+def content(cols):
+    """The gcd of every entry of a level's columns."""
+    return gcd(*(e for col in cols.values() for e in col))
+
+
+def assert_reduced(rule, n, N):
+    """At every level n..N, the reduced fold yields M[n -> k] over its
+    content: entries of gcd 1, proportional to the plain fold's."""
+    for cols, full in zip(_reduced_column_rows(rule, n, N), _column_rows(rule, n, N), strict=True):
+        assert content(cols) == 1
+        c = content(full)
+        assert cols == {label: tuple(e // c for e in col) for label, col in full.items()}
+
+
 # From level 0 at horizon N, A's vertex is (1, 0, 0), B's is
 # (2N, 1, 0)/(2N+1) and C's is (0, 0, 1): A and C are as far apart as B and
 # C, at distance 2, which the integer sweep reads over different
@@ -546,6 +581,49 @@ class TestHullOracle:
             want = outcome(lambda: oracle_hull(rule, n, N)[0])
             assert got == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn=shared_factor_1d_rules(),
+        n=st.integers(min_value=0, max_value=2),
+        span=st.integers(min_value=1, max_value=4),
+        tol=st.sampled_from((Fraction(0), Fraction(1, 10**6), Fraction(1, 2), 0.1)),
+        floor=st.sampled_from((Fraction(0), Fraction(1, 100), 0.25)),
+        window=st.integers(min_value=1, max_value=3),
+    )
+    def test_shared_factor_equals_the_fraction_oracle(self, drawn, n, span, tol, floor, window):
+        rule, f = drawn
+        m = transition_matrix(rule, n, n + span)
+        assert all(e % f**span == 0 for row in m.entries for e in row)
+        assert ergodicity_report(rule, n, n + span, tol, window, floor) == oracle_report(
+            rule, n, n + span, tol, window, floor
+        )
+        for N in range(n + 1, n + span + 1):
+            assert frequency_hull(rule, n, N) == oracle_hull(rule, n, N)[0]
+        assert_reduced(rule, n, n + span)
+
+    @pytest.mark.parametrize("name", ["ten_pow_n", "thue_morse"])
+    def test_large_contents_equal_the_fraction_oracle(self, name):
+        rule = load_builtin(name)
+        m = transition_matrix(rule, 0, 40)
+        assert gcd(*(e for row in m.entries for e in row)).bit_length() > 30  # 2^39 on thue_morse
+        tol, floor = Fraction(1, 10**6), Fraction(1, 100)
+        assert ergodicity_report(rule, 0, 40, tol, 3, floor) == oracle_report(rule, 0, 40, tol, 3, floor)
+        assert frequency_hull(rule, 0, 40) == oracle_hull(rule, 0, 40)[0]
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_reduced_columns_have_content_one(self, name):
+        assert_reduced(load_builtin(name), 2, 40)
+
+    def test_sweep_fills_no_volume_table_past_level_n(self):
+        # each horizon's volumes are summed from its reduced columns
+        rule = parse_rule(builtin_text("ten_pow_n"))
+        assert ergodicity_report(rule, 0, 60).verdict == "multiple"
+        assert len(rule._levels["volume"]) == 1
+        frequency_hull(rule, 0, 60)
+        assert len(rule._levels["volume"]) == 1
+        ergodicity_report(rule, 3, 40)
+        assert len(rule._levels["volume"]) == 4
+
     @pytest.mark.parametrize("name", ALL)
     def test_bundled_rules_equal_the_fraction_oracle(self, name):
         rule = load_builtin(name)
@@ -568,6 +646,26 @@ class TestHullOracle:
         hull = frequency_hull(rule, 0, 1)
         assert hull.vertices == ((Fraction(6, 7), Fraction(6, 7)), (Fraction(2), Fraction(0)))
         assert hull.diameter == Fraction(8, 7)
+
+    def test_int_volumes_give_exact_vertices(self):
+        # a rule built in Python may give int volumes; x / 2 would be a float
+        rule = FusionRule(
+            "ints", 1, tuple(Prototile(name, 1) for name in "ABC"),
+            (
+                SupertileDef("A", (Placement("A"), Placement("B"))),
+                SupertileDef("B", (Placement("A"),)),
+                SupertileDef("C", (Placement("C"), Placement("A"))),
+            ),
+        )
+        hull = frequency_hull(rule, 0, 2)
+        assert hull.vertices == (
+            (Fraction(2, 3), Fraction(1, 3), 0), (Fraction(1, 2), Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        )
+        assert hull.centroid == (Fraction(5, 9), Fraction(13, 36), Fraction(1, 12))
+        rep = ergodicity_report(rule, 0, 2, window=1)
+        assert rep.verdict == "multiple"
+        coordinates = [*hull.centroid, *(x for side in rep.trajectories for _, v in side for x in v)]
+        assert all(type(x) is Fraction for x in coordinates)
 
     def test_tied_pairs_keep_the_first(self):
         rule = parse_rule(TIE)
@@ -621,8 +719,23 @@ class TestErgodicity:
         assert rep.trajectories is None
 
     def test_depth_must_exceed_level(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"need 0 <= from < to, got from=4 to=4$"):
             ergodicity_report(load_builtin("fibonacci"), 4, 4)
+        # a negative level is refused by the volume table, as before
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            ergodicity_report(load_builtin("fibonacci"), -1, 5)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(floor=-1), dict(tol=-1), dict(tol=-0.5), dict(floor=Fraction(-1, 10**9)), dict(tol=-1, floor=-1)]
+    )
+    def test_negative_tol_or_floor_raises(self, kwargs):
+        # every diameter, 0 included, is above floor -1: it would read "multiple"
+        with pytest.raises(ValueError, match="tol and floor must be >= 0, got tol .* and floor "):
+            ergodicity_report(load_builtin("fibonacci"), 2, 5, **kwargs)
+
+    def test_zero_tol_and_floor_are_valid(self):
+        rep = ergodicity_report(load_builtin("fibonacci"), 2, 5, tol=0, floor=0)
+        assert (rep.tol, rep.verdict) == (0, "multiple")
 
     def test_float_tol_is_decided_as_stored(self):
         # the diameter is exactly 1/10; the float 0.1 is a little larger

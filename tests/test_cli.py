@@ -269,6 +269,27 @@ class TestExitCodes:
         assert payload["result"] is None
         assert payload["diagnostics"] == [{"severity": "error", "message": message}]
 
+    @pytest.mark.parametrize("argv, tol", [(["--tol", "-1"], "-1"), (["--tol=-1/3"], "-1/3"), (["--tol", "-0.5"], "-0.5")])
+    def test_negative_tolerance_is_a_usage_error(self, run_cli, argv, tol):
+        message = f"argument --tol: must be >= 0, got {tol}"
+        assert run_cli(["freq", "fibonacci", "--horizon", "5", *argv]) == (2, "", f"usage error: {message}\n")
+
+    def test_zero_tolerance_is_valid(self, run_cli):
+        code, out, err = run_cli(["freq", "fibonacci", "--horizon", "5", "--tol", "0", "--json"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["ergodicity"]["tol"] == "0"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["freq", "fibonacci", "--level", "5", "--horizon", "5"], "need 0 <= from < to, got from=5 to=5"),
+            (["primitivity", "fibonacci", "--max-offset", "0"], "need 0 <= from < to, got from=0 to=0"),
+            (["matrix", "fibonacci", "--from", "3", "--to", "1"], "need 0 <= from <= to, got from=3 to=1"),
+        ],
+    )
+    def test_range_errors_state_the_condition_checked(self, run_cli, argv, message):
+        assert run_cli(argv) == (1, "", f"error: invalid level range: {message}\n")
+
     @pytest.mark.parametrize("tol", ["1/1000", "0.001"])
     def test_tolerance_as_fraction_or_decimal(self, run_cli, tol):
         code, out, err = run_cli(["freq", "fibonacci", "--horizon", "5", "--tol", tol, "--json"])

@@ -59,8 +59,19 @@ class TestTransitionMatrix:
             )
 
     def test_invalid_range(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"need 0 <= from <= to, got from=3 to=1$"):
             transition_matrix(load_builtin("fibonacci"), 3, 1)
+
+    def test_compose_names_levels_and_labels(self):
+        fib, tm = load_builtin("fibonacci"), load_builtin("thue_morse")
+        need = r"need a\.to_level == b\.from_level and a\.col_labels == b\.row_labels, got "
+        with pytest.raises(InvalidRangeError, match=need + r"a\.to_level=1 b\.from_level=2 ") as exc:
+            compose(transition_matrix(fib, 0, 1), transition_matrix(fib, 2, 3))
+        assert (exc.value.from_level, exc.value.to_level) == (1, 2)
+        # the levels match, the labels do not
+        labels = r"a\.col_labels=\('A', 'B'\) b\.row_labels=\('S1', 'S2'\)$"
+        with pytest.raises(InvalidRangeError, match=need + r"a\.to_level=1 b\.from_level=1 " + labels):
+            compose(transition_matrix(fib, 0, 1), transition_matrix(tm, 1, 2))
 
     def test_fiblike_product(self):
         m = transition_matrix(load_builtin("fiblike"), 1, 4)
