@@ -45,6 +45,20 @@ GOLDEN = {
     "examples.json": ["examples", "--json"],
 }
 
+# text-mode captures, one per subcommand that prints text; kept apart from
+# GOLDEN, whose entries the benchmark's cli workload replays
+TEXT_GOLDEN = {
+    "parse_fiblike.txt": ["parse", "fiblike"],
+    "expand_chair.txt": ["expand", "chair", "--level", "2"],
+    "matrix_chair.txt": ["matrix", "chair", "--from", "1", "--to", "3"],
+    "primitivity_fiblike.txt": ["primitivity", "fiblike", "--level", "2", "--max-offset", "5"],
+    "vanhove_chair.txt": ["vanhove", "chair", "--depth", "4"],
+    "freq_fibonacci.txt": ["freq", "fibonacci", "--horizon", "15"],
+    "patchfreq_thue_morse.txt": ["patchfreq", "thue_morse", "--word", "AA", "--level", "4", "--horizon", "12"],
+    "admissible_fib2d.txt": ["admissible", "fib2d", "--patch", "AA", "--patch-level", "1", "--max-level", "4"],
+    "examples.txt": ["examples"],
+}
+
 # digest file -> random rules of each dimension; 20 in CI, 5 in the tests
 DIGESTS = {"differential_20.sha256": 20, "differential_5.sha256": 5}
 
@@ -67,7 +81,7 @@ def differential_digest(rules):
 def main():
     golden_dir = pathlib.Path(__file__).parent / "golden"
     golden_dir.mkdir(exist_ok=True)
-    for name, argv in GOLDEN.items():
+    for name, argv in {**GOLDEN, **TEXT_GOLDEN}.items():
         (golden_dir / name).write_text(capture(argv), encoding="utf-8")
         print(f"wrote golden/{name}")
     for name, rules in DIGESTS.items():

@@ -7,7 +7,7 @@ import weakref
 from decimal import Decimal
 
 import pytest
-from make_goldens import GOLDEN, differential_digest
+from make_goldens import GOLDEN, TEXT_GOLDEN, differential_digest
 
 from fusionlab import cli, expand
 from fusionlab.analysis import ergodicity_report
@@ -23,6 +23,12 @@ class TestGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_byte_match(self, name, run_cli):
         code, out, err = run_cli(GOLDEN[name])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", sorted(TEXT_GOLDEN))
+    def test_text_byte_match(self, name, run_cli):
+        code, out, err = run_cli(TEXT_GOLDEN[name])
         assert code == 0 and err == ""
         assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
