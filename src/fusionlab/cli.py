@@ -1,15 +1,19 @@
 """Command-line front end.
 
-Subcommands delegate 1:1 to the library modules. With --json, every run -
-success or failure - emits exactly one envelope:
+Subcommands delegate 1:1 to the library modules. Each handler returns its
+result as library values, with a function that renders its text, and a run
+builds only the output it prints: text mode never encodes the result, and
+--json never renders the text. With --json, every run - success or
+failure - emits exactly one envelope:
 
     {"schema": "fusionlab/1", "command": [...], "result": ..., "diagnostics": [...]}
 
-printed deterministically (sorted keys, fixed indentation). Exact numbers
-are strings: integers in decimal, rationals as "p/q" (plain decimal string
-when the denominator is 1); convenience floats live in keys suffixed
-_approx. Exit codes: 0 success, 1 domain error or internal fault, 2 usage
-error.
+printed deterministically (sorted keys, fixed indentation). One encoder,
+_exact, writes every exact number as a string: integers in decimal,
+rationals as "p/q" (plain decimal string when the denominator is 1), at
+any size; convenience floats live in keys suffixed _approx. No option may
+be abbreviated, so --json is the one spelling of JSON mode. Exit codes: 0
+success, 1 domain error or internal fault, 2 usage error.
 """
 
 from __future__ import annotations
@@ -39,7 +43,12 @@ class _HelpExit(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so failures still emit an
-    envelope."""
+    envelope, and that takes no abbreviated option: --json is the one
+    spelling of JSON mode."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs["allow_abbrev"] = False
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         raise _UsageError(message)
@@ -50,28 +59,42 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _HelpExit()
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _exact(value):
+    """value as the envelope writes it: an int in decimal and a Fraction as
+    "p/q" ("p" when the denominator is 1), both at any size; a tuple or
+    list as a list and a dict value by value; a bool, float, str or None
+    as itself."""
+    if isinstance(value, bool):  # an int too, but written as true/false
+        return value
+    if isinstance(value, int):
+        return _decimal(value)
+    if isinstance(value, Fraction):
+        return _frac_str(value)
+    if isinstance(value, (tuple, list)):
+        return [_exact(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _exact(v) for key, v in value.items()}
+    return value
 
 
-def _envelope(argv: Sequence[str], result, diagnostics) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": list(argv),
-        "result": result,
-        "diagnostics": diagnostics,
-    }
+def _dump(argv: Sequence[str], result, diagnostics) -> str:
+    envelope = {"schema": SCHEMA, "command": argv, "result": result, "diagnostics": diagnostics}
+    return json.dumps(_exact(envelope), sort_keys=True, indent=2) + "\n"
+
+
+def _fail(argv: Sequence[str], want_json: bool, code: int, diagnostics: list, text: str) -> int:
+    """Report a failure as one envelope on stdout or one line on stderr."""
+    if want_json:
+        sys.stdout.write(_dump(argv, None, diagnostics))
+    else:
+        sys.stderr.write(text + "\n")
+    return code
 
 
 def _error_diagnostics(exc: Exception) -> list[dict]:
     if isinstance(exc, ParseError):
         return [
-            {
-                "severity": d.severity,
-                "message": d.message,
-                "line": str(d.span.line),
-                "column": str(d.span.column),
-            }
+            {"severity": d.severity, "message": d.message, "line": d.span.line, "column": d.span.column}
             for d in exc.diagnostics
         ]
     if isinstance(exc, ValidationError):
@@ -79,7 +102,7 @@ def _error_diagnostics(exc: Exception) -> list[dict]:
         for d in exc.diagnostics:
             entry = {"severity": "error", "code": d.code, "message": d.message}
             if d.level is not None:
-                entry["level"] = str(d.level)
+                entry["level"] = d.level
             if d.label is not None:
                 entry["label"] = d.label
             out.append(entry)
@@ -99,6 +122,17 @@ def _load_rule(args) -> FusionRule:
     raise FusionError(
         f"unknown rule {name!r}: not a file and not one of {', '.join(builtin_names())}"
     )
+
+
+def _needle(rule, args):
+    """(needle, description) from --word, or from the 2D patch --patch
+    LABEL expanded at --patch-level L (default 0)."""
+    if args.word:
+        return args.word, args.word
+    if args.patch:
+        level = args.patch_level or 0
+        return expand.expand_supertile(rule, level, args.patch, args.max_cells), f"{args.patch}@{level}"
+    raise _UsageError(f"{args.subcommand} needs --word (1D) or --patch (2D)")
 
 
 def _positive_int(text: str) -> int:
@@ -125,7 +159,8 @@ def _nonnegative_fraction(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: return (result payload, text rendering)
+# Subcommand handlers: return (result payload of library values, a function
+# that renders the text); main encodes the one or calls the other
 # ---------------------------------------------------------------------------
 
 
@@ -133,93 +168,95 @@ def _cmd_parse(args):
     rule = _load_rule(args)
     protos = []
     for p in rule.prototiles:
-        entry = {"name": p.name, "volume": _frac_str(p.volume)}
+        entry = {"name": p.name, "volume": p.volume}
         if p.cells is not None:
-            entry["cells"] = [[str(x), str(y)] for x, y in p.cells]
+            entry["cells"] = p.cells
         protos.append(entry)
     canonical = dsl.format_rule(rule)
     result = {
         "name": rule.name,
-        "dimension": str(rule.dimension),
+        "dimension": rule.dimension,
         "prototiles": protos,
-        "definition_count": str(len(rule.definitions)),
+        "definition_count": len(rule.definitions),
         "canonical": canonical,
     }
-    return result, canonical.rstrip("\n")
+    return result, lambda: canonical.rstrip("\n")
 
 
 def _cmd_expand(args):
     rule = _load_rule(args)
     level = args.level
-    labels = [args.supertile] if args.supertile else list(resolve_level(rule, level).labels)
+    labels = [args.supertile] if args.supertile else resolve_level(rule, level).labels
     entries = []
-    texts = []
     for lab in labels:
         patch = expand.expand_supertile(rule, level, lab, args.max_cells)
-        text = expand.render_text(patch, rule)
         entries.append(
             {
                 "label": lab,
-                "level": str(level),
-                "tiles": str(len(patch.labels) if patch.dimension == 1 else len(patch.tiles)),
-                "cells": str(patch.cell_count()),
-                "text": text,
+                "level": level,
+                "tiles": len(patch.labels) if patch.dimension == 1 else len(patch.tiles),
+                "cells": patch.cell_count(),
+                "text": expand.render_text(patch, rule),
             }
         )
         # dropped before the next label's expansion, so one patch is alive at a time
         del patch
+
+    def text():
         if args.supertile:
-            texts.append(text)
-        elif rule.dimension == 1:
-            texts.append(f"{lab}: {text}")
-        else:
-            texts.append(f"{lab}:\n{text}")
-    return {"level": str(level), "supertiles": entries}, "\n".join(texts)
+            return entries[0]["text"]
+        sep = " " if rule.dimension == 1 else "\n"
+        return "\n".join(f"{e['label']}:{sep}{e['text']}" for e in entries)
+
+    return {"level": level, "supertiles": entries}, text
 
 
 def _cmd_matrix(args):
     rule = _load_rule(args)
     m = transition.transition_matrix(rule, args.from_level, args.to_level)
     result = {
-        "from_level": str(m.from_level),
-        "to_level": str(m.to_level),
-        "row_labels": list(m.row_labels),
-        "col_labels": list(m.col_labels),
-        "entries": [[_decimal(e) for e in row] for row in m.entries],
+        "from_level": m.from_level,
+        "to_level": m.to_level,
+        "row_labels": m.row_labels,
+        "col_labels": m.col_labels,
+        "entries": m.entries,
     }
-    width = max(len(e) for row in result["entries"] for e in row)
-    lines = [f"M[{m.from_level} -> {m.to_level}]  columns: {' '.join(m.col_labels)}"]
-    for lab, row in zip(m.row_labels, result["entries"]):
-        lines.append(f"  {lab}: " + " ".join(e.rjust(width) for e in row))
-    return result, "\n".join(lines)
+
+    def text():
+        entries = [[_decimal(e) for e in row] for row in m.entries]
+        width = max(len(e) for row in entries for e in row)
+        lines = [f"M[{m.from_level} -> {m.to_level}]  columns: {' '.join(m.col_labels)}"]
+        for lab, row in zip(m.row_labels, entries):
+            lines.append(f"  {lab}: " + " ".join(e.rjust(width) for e in row))
+        return "\n".join(lines)
+
+    return result, text
 
 
 def _cmd_primitivity(args):
     rule = _load_rule(args)
     res = analysis.primitivity_check(rule, args.level, args.max_offset)
     result = {
-        "level": str(res.level),
-        "max_offset": str(res.max_offset),
-        "minimal_offset": None if res.minimal_offset is None else str(res.minimal_offset),
+        "level": res.level,
+        "max_offset": res.max_offset,
+        "minimal_offset": res.minimal_offset,
         "witness_zero": None
         if res.witness_zero is None
-        else {
-            "row": res.witness_zero[0],
-            "col": res.witness_zero[1],
-            "horizon": str(res.witness_zero[2]),
-        },
+        else {"row": res.witness_zero[0], "col": res.witness_zero[1], "horizon": res.witness_zero[2]},
     }
-    if res.minimal_offset is not None:
-        text = (
-            f"level {res.level}: positive at offset {res.minimal_offset} "
-            f"(M[{res.level} -> {res.level + res.minimal_offset}] entrywise > 0)"
-        )
-    else:
+
+    def text():
+        if res.minimal_offset is not None:
+            return (
+                f"level {res.level}: positive at offset {res.minimal_offset} "
+                f"(M[{res.level} -> {res.level + res.minimal_offset}] entrywise > 0)"
+            )
         r, c, N = res.witness_zero
-        text = (
+        return (
             f"level {res.level}: no positive horizon up to offset {res.max_offset}; "
             f"M[{res.level} -> {N}] has a zero at ({r}, {c})"
         )
+
     return result, text
 
 
@@ -227,26 +264,23 @@ def _cmd_vanhove(args):
     rule = _load_rule(args)
     rep = analysis.van_hove_diagnostic(rule, args.depth, args.radius, args.max_cells)
     result = {
-        "depth": str(rep.depth),
-        "r": str(rep.r),
-        "levels": [str(x) for x in rep.levels],
-        "ratios": [_frac_str(x) for x in rep.ratios],
+        "depth": rep.depth,
+        "r": rep.r,
+        "levels": rep.levels,
+        "ratios": rep.ratios,
         "ratios_approx": [float(x) for x in rep.ratios],
-        "max_labels": list(rep.max_labels),
+        "max_labels": rep.max_labels,
         "verdict": rep.verdict,
     }
-    lines = [f"boundary ratios (r={rep.r}):"]
-    for lv, ratio, lab in zip(rep.levels, rep.ratios, rep.max_labels):
-        lines.append(f"  level {lv}: {_frac_str(ratio)} ({float(ratio):.6g}, worst: {lab})")
-    lines.append(f"verdict: {rep.verdict}")
-    return result, "\n".join(lines)
 
+    def text():
+        lines = [f"boundary ratios (r={rep.r}):"]
+        for lv, ratio, lab in zip(rep.levels, rep.ratios, rep.max_labels):
+            lines.append(f"  level {lv}: {_frac_str(ratio)} ({float(ratio):.6g}, worst: {lab})")
+        lines.append(f"verdict: {rep.verdict}")
+        return "\n".join(lines)
 
-def _trajectory_payload(traj) -> list:
-    return [
-        {"label": lab, "vertex": [_frac_str(x) for x in vertex]}
-        for lab, vertex in traj
-    ]
+    return result, text
 
 
 def _cmd_freq(args):
@@ -254,100 +288,81 @@ def _cmd_freq(args):
     rep = analysis.ergodicity_report(rule, args.level, args.horizon, args.tol)
     hull = rep.hull
     result = {
-        "level": str(hull.level),
-        "horizon": str(hull.horizon),
-        "labels": list(hull.labels),
-        "vertex_labels": list(hull.vertex_labels),
-        "vertices": [[_frac_str(x) for x in v] for v in hull.vertices],
-        "diameter": _frac_str(hull.diameter),
+        "level": hull.level,
+        "horizon": hull.horizon,
+        "labels": hull.labels,
+        "vertex_labels": hull.vertex_labels,
+        "vertices": hull.vertices,
+        "diameter": hull.diameter,
         "diameter_approx": float(hull.diameter),
-        "centroid": [_frac_str(x) for x in hull.centroid],
+        "centroid": hull.centroid,
         "centroid_approx": [float(x) for x in hull.centroid],
         "ergodicity": {
-            "horizons": [str(N) for N in rep.horizons],
-            "diameters": [_frac_str(d) for d in rep.diameters],
+            "horizons": rep.horizons,
+            "diameters": rep.diameters,
             "diameters_approx": [float(d) for d in rep.diameters],
-            "tol": _frac_str(rep.tol),
+            "tol": rep.tol,
             "verdict": rep.verdict,
             "trajectories": None
             if rep.trajectories is None
-            else [
-                _trajectory_payload(rep.trajectories[0]),
-                _trajectory_payload(rep.trajectories[1]),
-            ],
+            else [[{"label": lab, "vertex": vertex} for lab, vertex in traj] for traj in rep.trajectories],
         },
     }
-    lines = [
-        f"hull at level {hull.level}, horizon {hull.horizon}: "
-        f"{len(hull.vertices)} vertices, diameter {float(hull.diameter):.6g}"
-    ]
-    for lab, v in zip(hull.vertex_labels, hull.vertices):
-        coords = ", ".join(_frac_str(x) for x in v)
-        lines.append(f"  via {lab}: ({coords})")
-    lines.append(f"ergodicity verdict: {rep.verdict}")
-    return result, "\n".join(lines)
 
+    def text():
+        lines = [
+            f"hull at level {hull.level}, horizon {hull.horizon}: "
+            f"{len(hull.vertices)} vertices, diameter {float(hull.diameter):.6g}"
+        ]
+        for lab, v in zip(hull.vertex_labels, hull.vertices):
+            lines.append(f"  via {lab}: ({', '.join(map(_frac_str, v))})")
+        lines.append(f"ergodicity verdict: {rep.verdict}")
+        return "\n".join(lines)
 
-def _patch_argument(rule, args) -> expand.CellPatch:
-    """2D patch from --patch LABEL at --patch-level L (default 0)."""
-    level = args.patch_level if args.patch_level is not None else 0
-    return expand.expand_supertile(rule, level, args.patch, args.max_cells)
+    return result, text
 
 
 def _cmd_patchfreq(args):
     rule = _load_rule(args)
-    if args.word:
-        patch = args.word
-        description = args.word
-    elif args.patch:
-        patch = _patch_argument(rule, args)
-        description = f"{args.patch}@{args.patch_level or 0}"
-    else:
-        raise _UsageError("patchfreq needs --word (1D) or --patch (2D)")
+    patch, description = _needle(rule, args)
     iv = analysis.patch_frequency_estimate(rule, patch, args.level, args.horizon, args.max_cells)
     result = {
         "description": description,
-        "level": str(iv.level),
-        "horizon": str(iv.horizon),
-        "lo": _frac_str(iv.lo),
-        "hi": _frac_str(iv.hi),
+        "level": iv.level,
+        "horizon": iv.horizon,
+        "lo": iv.lo,
+        "hi": iv.hi,
         "lo_approx": float(iv.lo),
         "hi_approx": float(iv.hi),
-        "width": _frac_str(iv.width),
+        "width": iv.width,
         "width_approx": float(iv.width),
     }
-    text = (
+    return result, lambda: (
         f"freq({description}) at level {iv.level}, horizon {iv.horizon}: "
         f"[{_frac_str(iv.lo)}, {_frac_str(iv.hi)}] "
         f"~ [{float(iv.lo):.8g}, {float(iv.hi):.8g}], width {float(iv.width):.3g}"
     )
-    return result, text
 
 
 def _cmd_admissible(args):
     rule = _load_rule(args)
-    if args.word:
-        needle = args.word
-        description = args.word
-    elif args.patch:
-        needle = _patch_argument(rule, args)
-        description = f"{args.patch}@{args.patch_level or 0}"
-    else:
-        raise _UsageError("admissible needs --word (1D) or --patch (2D)")
+    needle, description = _needle(rule, args)
     res = expand.is_admissible(rule, needle, args.max_level, args.max_cells)
     result = {
         "description": description,
-        "max_level": str(args.max_level),
+        "max_level": args.max_level,
         "found": res.found,
-        "level": None if res.level is None else str(res.level),
+        "level": res.level,
         "label": res.label,
-        "position": None if res.position is None else [str(x) for x in res.position],
+        "position": res.position,
     }
-    if res.found:
-        pos = ", ".join(str(x) for x in res.position)
-        text = f"{description}: found in {res.label} at level {res.level} (position {pos})"
-    else:
-        text = f"{description}: not found up to level {args.max_level}"
+
+    def text():
+        if res.found:
+            pos = ", ".join(map(str, res.position))
+            return f"{description}: found in {res.label} at level {res.level} (position {pos})"
+        return f"{description}: not found up to level {args.max_level}"
+
     return result, text
 
 
@@ -368,13 +383,12 @@ def _cmd_render(args):
             f.write(content)
     result = {
         "format": fmt,
-        "level": str(args.level),
+        "level": args.level,
         "label": args.supertile,
         "path": path,
         "content": None if path else content,
     }
-    text = f"wrote {path}" if path else content.rstrip("\n")
-    return result, text
+    return result, lambda: f"wrote {path}" if path else content.rstrip("\n")
 
 
 def _cmd_examples(args):
@@ -382,11 +396,10 @@ def _cmd_examples(args):
         if args.show not in builtin_names():
             raise FusionError(f"unknown bundled rule {args.show!r}")
         text = builtin_text(args.show)
-        return {"name": args.show, "text": text}, text.rstrip("\n")
+        return {"name": args.show, "text": text}, lambda: text.rstrip("\n")
     rules = [{"name": name, "description": desc} for name, desc in BUILTIN_RULES]
     width = max(len(name) for name, _ in BUILTIN_RULES)
-    lines = [f"{name.ljust(width)}  {desc}" for name, desc in BUILTIN_RULES]
-    return {"rules": rules}, "\n".join(lines)
+    return {"rules": rules}, lambda: "\n".join(f"{name.ljust(width)}  {desc}" for name, desc in BUILTIN_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -483,42 +496,27 @@ def build_parser() -> _ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    want_json = "--json" in argv
-    parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required (see --help)")
         result, text = args.handler(args)
+        out = _dump(argv, result, []) if args.json else text() + "\n"
     except _HelpExit:
         return 0
     except _UsageError as e:
         message = str(e) or "usage error"
-        if want_json:
-            sys.stdout.write(
-                _dump(_envelope(argv, None, [{"severity": "error", "message": message}]))
-            )
-        else:
-            sys.stderr.write(f"usage error: {message}\n")
-        return 2
+        # argv is read only when parsing failed and left no args.json
+        want_json = "--json" in argv if args is None else getattr(args, "json", False)
+        return _fail(argv, want_json, 2, [{"severity": "error", "message": message}], f"usage error: {message}")
     except (FusionError, ValueError, KeyError, OSError) as e:
-        if want_json:
-            sys.stdout.write(_dump(_envelope(argv, None, _error_diagnostics(e))))
-        else:
-            sys.stderr.write(f"error: {e}\n")
-        return 1
-    except Exception as e:  # a fault inside a handler still ends in one envelope
+        return _fail(argv, getattr(args, "json", False), 1, _error_diagnostics(e), f"error: {e}")
+    except Exception as e:  # a fault inside a handler, its encoding or its text still ends in one envelope
         message = type(e).__name__ + (f": {e}" if str(e) else "")
-        if want_json:
-            diagnostic = {"severity": "error", "code": "internal-error", "message": message}
-            sys.stdout.write(_dump(_envelope(argv, None, [diagnostic])))
-        else:
-            sys.stderr.write(f"internal error: {message}\n")
-        return 1
-    if getattr(args, "json", False):
-        sys.stdout.write(_dump(_envelope(argv, result, [])))
-    else:
-        sys.stdout.write(text + "\n")
+        diagnostic = {"severity": "error", "code": "internal-error", "message": message}
+        return _fail(argv, getattr(args, "json", False), 1, [diagnostic], f"internal error: {message}")
+    sys.stdout.write(out)
     return 0
 
 

@@ -212,9 +212,10 @@ class Prototile:
     cells, a polyomino sorted by (x, y) and anchored at min x = min y = 0;
     a FusionRule rejects a 2D prototile whose cells are None or empty,
     repeat a cell, are not edge-connected or are not so anchored.
-    volume is an int or Fraction, and a FusionRule rejects any other type;
-    left None, it becomes the cell count of a prototile with cells (2D)
-    and 1 otherwise, as the parser reads an omitted volume.
+    volume is an int or Fraction, stored as a Fraction, and a FusionRule
+    rejects any other type, a bool included; left None, it becomes the
+    cell count of a prototile with cells (2D) and 1 otherwise, as the
+    parser reads an omitted volume.
     """
 
     name: str
@@ -222,8 +223,11 @@ class Prototile:
     cells: Optional[tuple[tuple[int, int], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.volume is None:
-            object.__setattr__(self, "volume", Fraction(len(self.cells)) if self.cells else Fraction(1))
+        volume = self.volume
+        if volume is None:
+            volume = len(self.cells) if self.cells else 1
+        if type(volume) is int:  # not a bool, which _structure rejects
+            object.__setattr__(self, "volume", Fraction(volume))
 
     def size(self) -> tuple[int, int]:
         """Bounding-box (width, height) of a 2D prototile's cells."""
@@ -585,7 +589,7 @@ def _structure(rule: FusionRule) -> list[Diagnostic]:
         if p.name in seen_names:
             out.append(Diagnostic("duplicate-prototile", f"prototile {p.name!r} declared twice"))
         seen_names.add(p.name)
-        if not isinstance(p.volume, (int, Fraction)) or p.volume <= 0:
+        if not isinstance(p.volume, Fraction) or p.volume <= 0:
             # Fraction(): a float volume is named by the rational it holds
             inexact = "" if p.volume <= 0 else f", a {type(p.volume).__name__}, not an int or Fraction"
             out.append(Diagnostic("bad-volume", f"prototile {p.name!r} has volume {_frac_str(Fraction(p.volume))}{inexact}"))

@@ -635,6 +635,16 @@ def _patch_table(patch: CellPatch, rule: Optional[FusionRule]) -> dict[str, str]
     return _char_table(sorted(set(labels)))
 
 
+def _canvas(cells) -> tuple[int, int]:
+    """(width, height) of the canvas from (0, 0) to the top corner of 2D
+    (cell, label) pairs, read in one _corners pass. A cell at x or y < 0,
+    which no canvas holds, raises ValueError."""
+    lowx, lowy, highx, highy = _corners(cells)
+    if lowx < 0 or lowy < 0:
+        raise ValueError(f"rendering needs coordinates >= 0, got min x {lowx} and min y {lowy}")
+    return highx + 1, highy + 1
+
+
 def render_text(patch: CellPatch, rule: Optional[FusionRule] = None) -> str:
     """1D: the word itself. 2D: one text row per y (top = max y), `.` for
     empty cells.
@@ -649,10 +659,8 @@ def render_text(patch: CellPatch, rule: Optional[FusionRule] = None) -> str:
     table = _patch_table(patch, rule)
     if patch.dimension == 1:
         return "".join(table[lab] for lab in patch.labels)
-    lowx, lowy, highx, highy = _corners(patch.cells)
-    if lowx < 0 or lowy < 0:
-        raise ValueError(f"render_text needs coordinates >= 0, got min x {lowx} and min y {lowy}")
-    rows = [["."] * (highx + 1) for _ in range(highy + 1)]
+    width, height = _canvas(patch.cells)
+    rows = [["."] * width for _ in range(height)]
     for (x, y), lab in patch.cells:
         rows[y][x] = table[lab]
     return "\n".join(map("".join, reversed(rows)))
@@ -664,7 +672,10 @@ def render_svg(
     rule: Optional[FusionRule] = None,
 ) -> str:
     """SVG document: one unit square per cell, deterministic fill per label,
-    black cell borders, tight canvas. 1D patches render as a 1 x n strip."""
+    black cell borders, a canvas from (0, 0) to the top corner. 1D patches
+    render as a 1 x n strip. A patch built by hand with a negative
+    coordinate, which the canvas cannot hold, raises ValueError, as
+    render_text does."""
     if patch.dimension == 1:
         cells = tuple(((i, 0), lab) for i, lab in enumerate(patch.labels))
     else:
@@ -673,8 +684,7 @@ def render_svg(
         order = {lab: i for i, lab in enumerate(rule.prototile_names())}
     else:
         order = {lab: i for i, lab in enumerate(sorted({lab for _, lab in cells}))}
-    width = max(x for (x, _), _ in cells) + 1
-    height = max(y for (_, y), _ in cells) + 1
+    width, height = _canvas(cells)
     s = cell_size
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * s}" '

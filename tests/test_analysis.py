@@ -526,9 +526,7 @@ def shared_factor_1d_rules(draw):
     definitions = tuple(
         SupertileDef(name, tuple(draw(st.lists(placement, min_size=1, max_size=3)))) for name in names
     )
-    # Fraction volumes only: the oracle divides by them, and an int volume
-    # would make its vertices floats
-    volume = st.sampled_from(FRACTIONAL_VOLUMES + (Fraction(1), Fraction(2)))
+    volume = st.sampled_from(FRACTIONAL_VOLUMES + (1, 2))
     prototiles = tuple(Prototile(name, draw(volume)) for name in names)
     return FusionRule("shared", 1, prototiles, definitions), f
 
@@ -648,7 +646,7 @@ class TestHullOracle:
         assert hull.diameter == Fraction(8, 7)
 
     def test_int_volumes_give_exact_vertices(self):
-        # a rule built in Python may give int volumes; x / 2 would be a float
+        # int volumes given in Python are held as Fractions: every coordinate is exact
         rule = FusionRule(
             "ints", 1, tuple(Prototile(name, 1) for name in "ABC"),
             (

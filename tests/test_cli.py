@@ -5,6 +5,7 @@ import subprocess
 import sys
 import weakref
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from make_goldens import GOLDEN, TEXT_GOLDEN, differential_digest
@@ -193,6 +194,24 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["schema"] == "fusionlab/1" and payload["result"] is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "fibonacci", "--horizon", "3", "--js"],
+            ["freq", "fibonacci", "--horizon", "0", "--js"],
+            ["primitivity", "fibonacci", "--max-off", "3"],
+        ],
+    )
+    def test_options_are_never_abbreviated(self, run_cli, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: unrecognized arguments: " + argv[-1 if "--js" in argv else -2])
+
+    def test_json_after_double_dash_is_a_rule_name(self, run_cli):
+        # parsing gave args.json False, so the failure is text, like a success would be
+        code, out, err = run_cli(["parse", "--", "--json"])
+        assert code == 1 and out == "" and err.startswith("error: unknown rule '--json'")
+
     def test_deep_horizon_one_envelope(self, run_cli):
         argv = ["matrix", "fibonacci", "--from", "0", "--to", "10000", "--json"]
         code, out, err = run_cli(argv)
@@ -215,6 +234,19 @@ class TestExitCodes:
         code, out, err = run_cli(argv)
         assert code == 1 and out == "" and err.startswith("internal error: ")
         assert len(err.splitlines()) == 1
+
+    def test_output_fault_is_one_failure(self, run_cli, monkeypatch):
+        # the envelope is encoded, or the text rendered, inside main's handlers
+        def broken_text():
+            raise ZeroDivisionError("text")
+
+        monkeypatch.setattr(cli, "_cmd_matrix", lambda args: ({"entries": object()}, broken_text))
+        argv = ["matrix", "fibonacci", "--from", "0", "--to", "3"]
+        code, out, err = run_cli(argv + ["--json"])
+        (diagnostic,) = json.loads(out)["diagnostics"]
+        assert code == 1 and err == "" and diagnostic["code"] == "internal-error"
+        assert diagnostic["message"].startswith("TypeError: Object of type object")
+        assert run_cli(argv) == (1, "", "internal error: ZeroDivisionError: text\n")
 
     def test_help_exits_zero(self, run_cli):
         for argv in (["--help"], ["expand", "--help"]):
@@ -336,6 +368,28 @@ class TestExitCodes:
             ["expand", "thue_morse", "--level", "6", "--max-cells", "10"]
         )
         assert code == 1 and "64" in err
+
+
+class TestEncoder:
+    def test_exact_writes_library_values(self):
+        big = 10**5000 + 7
+        got = cli._exact(
+            {"flag": True, "approx": 0.5, "none": None, "name": "A", "n": big,
+             "q": Fraction(-1, 3), "whole": Fraction(4), "nested": ((1, (Fraction(1, 2),)), [2])}
+        )
+        assert got["flag"] is True and got["approx"] == 0.5 and got["none"] is None and got["name"] == "A"
+        assert got["n"] == "1" + "0" * 4999 + "7"
+        assert (got["q"], got["whole"]) == ("-1/3", "4")
+        assert got["nested"] == [["1", ["1/2"]], ["2"]]
+
+    def test_text_mode_writes_only_the_numbers_it_prints(self, run_cli, monkeypatch):
+        calls = []
+        for name in ("_frac_str", "_decimal"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda v, real=real: calls.append(v) or real(v))
+        code, out, _ = run_cli(["freq", "fibonacci", "--horizon", "40"])
+        assert code == 0 and out.count("  via ") == 2
+        assert len(calls) == 4  # the two vertices' coordinates, not every horizon's diameter
 
 
 def same_decimal(text: str, value) -> bool:

@@ -380,9 +380,16 @@ class TestValidateRule:
         (d,) = structure_diagnostics("r", 1, (Prototile("A", volume),), (SupertileDef("A", (Placement("A"),)),))
         assert (d.code, d.message) == ("bad-volume", f"prototile 'A' has volume {named}, a float, not an int or Fraction")
 
+    def test_bool_volume(self):
+        (d,) = structure_diagnostics("r", 1, (Prototile("A", True),), (SupertileDef("A", (Placement("A"),)),))
+        assert (d.code, d.message) == ("bad-volume", "prototile 'A' has volume 1, a bool, not an int or Fraction")
+
     def test_int_volume_is_exact(self):
         rule = FusionRule("r", 1, (Prototile("A", 3),), (SupertileDef("A", (Placement("A", Lit(2)),)),))
         assert rule.prototile("A").volume == 3
+        # held as a Fraction, so volumes() returns what VolumeVector is typed to hold
+        assert type(rule.prototile("A").volume) is Fraction
+        assert [type(v) for v in volumes(rule, 0).values + volumes(rule, 1).values] == [Fraction, Fraction]
 
     def test_disconnected_prototile(self):
         diags = structure_diagnostics(

@@ -874,6 +874,12 @@ class TestRendering:
         with pytest.raises(ValueError, match="coordinates >= 0"):
             render_text(patch)
 
+    def test_svg_of_a_negative_coordinate_is_refused(self):
+        # the cell at (-1, 0) would be drawn left of the canvas
+        patch = CellPatch(2, cells=(((0, 0), "A"), ((-1, 0), "B"), ((1, 1), "A")), tiles=((((0, 0), "A"),)))
+        with pytest.raises(ValueError, match="coordinates >= 0"):
+            render_svg(patch)
+
     def test_text_of_a_patch_off_the_origin_matches_the_grid_renderer(self):
         # a hand-built patch that starts past 0 keeps its empty margin
         patch = CellPatch(2, cells=(((2, 1), "A"), ((3, 1), "B"), ((3, 2), "A")), tiles=((((2, 1), "A"),)))
