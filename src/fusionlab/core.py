@@ -6,6 +6,11 @@ Guards are boolean predicates over the level variable n, so a single rule
 text covers every level; resolving a level evaluates the guards and all
 integer expressions (repeats, offsets) into concrete placements.
 
+Building a rule compiles each of these trees into a flat postfix program
+(_compile), which is also the check that the tree is well formed. One loop
+(_run) evaluates a program and dsl writes it out, so no tree depth costs a
+stack frame.
+
 Rules are immutable. What is kept of a rule level by level (its
 resolutions, tile/cell counts, volumes and, for 2D rules, bounding boxes)
 lives in a private table on the rule object, lists filled by one loop up
@@ -18,12 +23,15 @@ fractions.Fraction for volumes.
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from itertools import islice
+from typing import Any, Callable, Iterable, Mapping, Optional, Union, get_args
 
 from .errors import (
     EmptyLevelError,
@@ -77,42 +85,6 @@ class BinOp:
 IntExpr = Union[Lit, Var, Dim, BinOp]
 
 
-def eval_expr(expr: IntExpr, n: int, dims: Optional[Mapping[str, tuple[int, int]]] = None) -> int:
-    """Evaluate an integer expression at level n.
-
-    dims maps a label to its (width, height) one level below; it is only
-    consulted for w()/h() nodes. Exponents must evaluate >= 0.
-    """
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        return n
-    if isinstance(expr, Dim):
-        if dims is None or expr.label not in dims:
-            raise UnknownDimensionError(expr.label)
-        w, h = dims[expr.label]
-        return w if expr.axis == "w" else h
-    if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, n, dims)
-        b = eval_expr(expr.right, n, dims)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "^":
-            if b < 0:
-                raise NegativeExponentError(b)
-            return a**b
-        raise ValueError(f"unknown operator {expr.op!r}")
-    raise TypeError(f"not an IntExpr: {expr!r}")
-
-
-def _has_dim(e: IntExpr) -> bool:
-    return isinstance(e, Dim) or isinstance(e, BinOp) and (_has_dim(e.left) or _has_dim(e.right))
-
-
 # ---------------------------------------------------------------------------
 # Guards
 # ---------------------------------------------------------------------------
@@ -142,7 +114,7 @@ class IsPow:
 
     def __post_init__(self) -> None:
         if self.base < 2:
-            # base 1 would loop forever in eval_guard and base 0 divide by zero
+            # base 1 would loop forever in _run and base 0 divide by zero
             raise ValueError(f"ispow base must be >= 2, got {self.base}")
 
 
@@ -165,38 +137,125 @@ class Or:
 
 Guard = Union[Always, Cmp, IsPow, Not, And, Or]
 
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+
+# ---------------------------------------------------------------------------
+# Programs
+# ---------------------------------------------------------------------------
+
+
+def _pow(a: int, b: int) -> int:
+    if b < 0:
+        raise NegativeExponentError(b)
+    return a**b
+
+
+_NODES = get_args(IntExpr) + get_args(Guard)
+_ARITHMETIC = ("+", "-", "*", "^")
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+# The binary operators of programs, the only operator table.
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "^": _pow,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+
+
+def _compile(tree, guard: bool) -> tuple[tuple[str, Any], ...]:
+    """The program of an expression, or of a guard when guard is True: its
+    nodes in postfix order as (op, arg), read from an explicit stack, so
+    depth costs no stack frames. ("lit", int), ("var", None), ("default",
+    True) and ("dim", (label, 0 for w or 1 for h)) push a value, ("not",
+    None) and ("ispow", base) replace it, and an operator of _OPS pops two.
+    ("and", k) and ("or", k) stand between their operands, k being the
+    length of the right one, skipped when the left one decides.
+
+    It checks every tree of a rule: ValueError names the first node of the
+    wrong kind, with an unknown operator, a literal or ispow base that is
+    not an int (a bool is not) or a base below 2, or a malformed w()/h() or
+    one in a guard.
+    """
+    program: list = []
+    todo: list = [(tree, guard)]  # (node, whether a guard stands there), or (op, None/"open"/"close")
+    while todo:
+        node, kind = todo.pop()
+        cls = type(node)
+        if kind is None:  # an op whose operands are in place
+            program.append(node)
+        elif cls is Lit and not kind and type(node.value) is int:
+            program.append(("lit", node.value))
+        elif cls is Var and not kind:
+            program.append(("var", None))
+        elif cls is Dim and not kind and not guard and node.axis in ("w", "h") and type(node.label) is str:
+            program.append(("dim", (node.label, "wh".index(node.axis))))
+        elif cls is BinOp and not kind and node.op in _ARITHMETIC or cls is Cmp and kind and node.op in _COMPARISONS:
+            todo += ((node.op, None), None), (node.right, False), (node.left, False)
+        elif cls is Always and kind:
+            program.append(("default", True))
+        elif cls is IsPow and kind and type(node.base) is int and node.base >= 2:
+            todo += (("ispow", node.base), None), (node.exponent, False)
+        elif cls is Not and kind:
+            todo += (("not", None), None), (node.operand, True)
+        elif (cls is And or cls is Or) and kind:
+            todo += (node.right, True), (cls.__name__.lower(), "open"), (node.left, True)
+        elif kind == "open":  # an "and"/"or", closed where its right operand, next on todo, ends
+            todo.insert(-1, (len(program), "close"))
+            program.append(node)
+        elif kind == "close":
+            program[node] = (program[node], len(program) - node - 1)
+        else:  # named without its subtrees, as a repr walks the whole tree
+            fields = ", ".join("…" if type(v) in _NODES else repr(v) for v in vars(node).values()) if cls in _NODES else ""
+            shown = f"{cls.__name__}({fields})" if cls in _NODES else repr(node)
+            raise ValueError(f"{shown} cannot stand in {'a guard' if guard else 'an integer expression'}")
+    return tuple(program)
+
+
+def _run(program: tuple, n: int, dims: Optional[Mapping[str, tuple[int, int]]] = None):
+    """The value of a program (see _compile) at level n; dims as for eval_expr.
+    The top of the stack is held in `top`, the rest on `stack`."""
+    stack: list = []
+    top = None
+    ops = iter(program)
+    for op, arg in ops:
+        if op == "lit" or op == "var" or op == "default":
+            stack.append(top)
+            top = n if op == "var" else arg
+        elif op in _OPS:
+            top = _OPS[op](stack.pop(), top)
+        elif op == "dim":
+            if dims is None or arg[0] not in dims:
+                raise UnknownDimensionError(arg[0])
+            stack.append(top)
+            top = dims[arg[0]][arg[1]]
+        elif op == "ispow":  # base**m for some m >= 1
+            v = top
+            while v >= arg and v % arg == 0:
+                v //= arg
+            top = v == 1 and top >= arg
+        elif op == "not":
+            top = not top
+        elif top is (op == "or"):  # an "and"/"or" whose left operand decides: skip the right one
+            next(islice(ops, arg, arg), None)
+        else:
+            top = stack.pop()
+    return top
+
+
+def eval_expr(expr: IntExpr, n: int, dims: Optional[Mapping[str, tuple[int, int]]] = None) -> int:
+    """Evaluate an integer expression at level n.
+
+    dims maps a label to its (width, height) one level below; it is only
+    consulted for w()/h() nodes. Exponents must evaluate >= 0. A malformed
+    tree raises ValueError (see _compile).
+    """
+    return _run(_compile(expr, False), n, dims)
 
 
 def eval_guard(guard: Guard, n: int) -> bool:
     """Evaluate a guard at level n. Guards see only n, never dimensions."""
-    if isinstance(guard, Always):
-        return True
-    if isinstance(guard, Cmp):
-        return _CMP[guard.op](eval_expr(guard.left, n), eval_expr(guard.right, n))
-    if isinstance(guard, IsPow):
-        v = eval_expr(guard.exponent, n)
-        b = guard.base
-        if v < b:
-            return False
-        while v % b == 0:
-            v //= b
-        return v == 1
-    if isinstance(guard, Not):
-        return not eval_guard(guard.operand, n)
-    if isinstance(guard, And):
-        return eval_guard(guard.left, n) and eval_guard(guard.right, n)
-    if isinstance(guard, Or):
-        return eval_guard(guard.left, n) or eval_guard(guard.right, n)
-    raise TypeError(f"not a Guard: {guard!r}")
+    return _run(_compile(guard, True), n)
 
+
+def _has_dim(program: tuple) -> bool:
+    return any(op == "dim" for op, _ in program)
 
 # ---------------------------------------------------------------------------
 # Rule structure
@@ -273,9 +332,12 @@ class FusionRule:
     definitions: tuple[SupertileDef, ...]
 
     def __post_init__(self) -> None:
-        diagnostics = _structure(self)
+        diagnostics, programs = _structure(self)
         if diagnostics:
             raise ValidationError(diagnostics)
+        # per definition, the programs of its guard and of each placement's
+        # repeat and offset; not a field, so outside eq, hash and repr
+        object.__setattr__(self, "_programs", programs)
 
     def prototile_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.prototiles)
@@ -296,7 +358,7 @@ class FusionRule:
     def _uses_dims(self) -> bool:
         # whether a repeat or offset reads w()/h(), so that resolving a level
         # needs the bounding boxes of the level below
-        return any(_has_dim(e) for d in self.definitions for p in d.body for e in (p.repeat, *(p.offset or ())))
+        return any(_has_dim(e) for _, _, body in self._programs for _, repeat, offset in body for e in (repeat, *(offset or ())))
 
 
 # Keeps threads that share a rule from appending one level twice.
@@ -371,24 +433,24 @@ def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
     def row(k: int, prev: LevelResolution) -> LevelResolution:
         if k == 0:
             return LevelResolution(0, tuple(ResolvedSupertile(p.name, ()) for p in rule.prototiles))
-        children = set(prev.labels)
+        children = {s.label for s in prev.supertiles}
         dims = level_sizes(rule, k - 1) if rule._uses_dims else None
         taken: dict[str, ResolvedSupertile] = {}
-        for d in rule.definitions:
-            if d.label in taken or not eval_guard(d.guard, k):
+        for label, guard, programs in rule._programs:
+            if label in taken or not _run(guard, k):
                 continue
             body = []
-            for p in d.body:
-                if p.child not in children:
-                    raise UndefinedLabelError(p.child, k)
-                r = eval_expr(p.repeat, k, dims)
+            for child, repeat, offset in programs:
+                if child not in children:
+                    raise UndefinedLabelError(child, k)
+                r = _run(repeat, k, dims)
                 if r < 1:
-                    raise InvalidRepeatError(d.label, k, r)
+                    raise InvalidRepeatError(label, k, r)
                 off = None
-                if p.offset is not None:
-                    off = (eval_expr(p.offset[0], k, dims), eval_expr(p.offset[1], k, dims))
-                body.append(ResolvedPlacement(p.child, r, off))
-            taken[d.label] = ResolvedSupertile(d.label, tuple(body))
+                if offset is not None:
+                    off = (_run(offset[0], k, dims), _run(offset[1], k, dims))
+                body.append(ResolvedPlacement(child, r, off))
+            taken[label] = ResolvedSupertile(label, tuple(body))
         if not taken:
             raise EmptyLevelError(k)
         return LevelResolution(k, tuple(taken.values()))
@@ -572,16 +634,28 @@ def _component_sizes(runs: Runs) -> list[int]:
     return [size[i] for i in range(len(root)) if root[i] == i]
 
 
-def _structure(rule: FusionRule) -> list[Diagnostic]:
+def _structure(rule: FusionRule) -> tuple[list[Diagnostic], Optional[tuple]]:
     """The structural faults of a rule, which no level changes: its
-    dimension, prototiles (names, volumes, shapes), empty bodies and
-    placements with an offset or a repeat the dimension does not have.
+    dimension, prototiles (names, volumes, shapes), empty bodies, children
+    that are not labels, placements with an offset or a repeat the
+    dimension does not have, trees that do not compile and h() in dimension
+    1; and the programs FusionRule keeps, compiled on the way.
     """
     out: list[Diagnostic] = []
 
+    def compiled(tree, guard: bool, label):
+        try:
+            program = _compile(tree, guard)
+        except ValueError as e:
+            out.append(Diagnostic("bad-guard" if guard else "bad-expr", str(e), label=label))
+            return None
+        if rule.dimension == 1 and not guard and any(op == "dim" and arg[1] for op, arg in program):
+            out.append(Diagnostic("bad-expr", "h() is only available in dimension 2", label=label))
+        return program
+
     if rule.dimension not in (1, 2):
         out.append(Diagnostic("bad-dimension", f"dimension must be 1 or 2, got {rule.dimension}"))
-        return out
+        return out, None
     if not rule.prototiles:
         out.append(Diagnostic("no-prototiles", "rule declares no prototiles"))
     seen_names: set[str] = set()
@@ -589,10 +663,12 @@ def _structure(rule: FusionRule) -> list[Diagnostic]:
         if p.name in seen_names:
             out.append(Diagnostic("duplicate-prototile", f"prototile {p.name!r} declared twice"))
         seen_names.add(p.name)
-        if not isinstance(p.volume, Fraction) or p.volume <= 0:
-            # Fraction(): a float volume is named by the rational it holds
-            inexact = "" if p.volume <= 0 else f", a {type(p.volume).__name__}, not an int or Fraction"
-            out.append(Diagnostic("bad-volume", f"prototile {p.name!r} has volume {_frac_str(Fraction(p.volume))}{inexact}"))
+        v = p.volume
+        if not isinstance(v, Fraction) or v <= 0:
+            # a float or bool is named by the rational it holds, anything else by repr
+            number = isinstance(v, (Fraction, bool)) or isinstance(v, float) and math.isfinite(v)
+            kind = "" if number and v <= 0 else f", a {type(v).__name__}, not an int or Fraction"
+            out.append(Diagnostic("bad-volume", f"prototile {p.name!r} has volume {_frac_str(Fraction(v)) if number else repr(v)}{kind}"))
         if rule.dimension == 1:
             if p.cells is not None:
                 out.append(Diagnostic("bad-shape", f"1D prototile {p.name!r} must not declare cells"))
@@ -607,18 +683,25 @@ def _structure(rule: FusionRule) -> list[Diagnostic]:
             if min(x for x, _ in p.cells) != 0 or min(y for _, y in p.cells) != 0:
                 out.append(Diagnostic("bad-shape", f"cells of prototile {p.name!r} are not anchored at min x = min y = 0"))
 
+    programs = []
     for d in rule.definitions:
         if not d.body:
             out.append(Diagnostic("empty-body", f"definition of {d.label!r} has no placements", label=d.label))
+        body = []
         for p in d.body:
+            if type(p.child) is not str:
+                out.append(Diagnostic("bad-child", f"placement child {p.child!r} is not a label", label=d.label))
+            offset = None if p.offset is None else tuple([compiled(e, False, d.label) for e in p.offset])
+            body.append((p.child, compiled(p.repeat, False, d.label), offset))
             if rule.dimension == 1 and p.offset is not None:
                 out.append(Diagnostic("offset-in-1d", f"1D placement of {p.child!r} carries an offset", label=d.label))
             if rule.dimension == 2 and p.repeat != Lit(1):
                 out.append(Diagnostic("repeat-in-2d", f"2D placement of {p.child!r} carries a repeat", label=d.label))
             if rule.dimension == 2 and p.offset is None:
                 out.append(Diagnostic("no-offset-in-2d", f"2D placement of {p.child!r} has no offset", label=d.label))
+        programs.append((d.label, compiled(d.guard, True, d.label), tuple(body)))
 
-    return out
+    return out, tuple(programs)
 
 
 def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:

@@ -19,7 +19,8 @@ One table, _PREC, ranks every operator from loosest to tightest: "or",
 "*", then "^", the only one that groups to the right (2^3^2 is 2^(3^2)).
 The others group to the left, and comparisons do not chain. The parser
 reads expressions and guards in one loop on explicit stacks, so nesting
-costs no stack frames, and the formatter parenthesizes from the same table.
+costs no stack frames. The formatter writes a tree from its flat program
+(core._compile) in one loop too, parenthesizing from the same table.
 
 Repeats ("^") exist only in dimension 1, where a tile is one cell. Cells
 and offsets ("@") exist only in dimension 2, where a placement is one child
@@ -32,8 +33,10 @@ into the text; a ParseDiagnostic's line, column and byte offset are
 computed for the one token it names.
 
 format_rule emits a canonical text (single level block, one definition per
-line, normalized spacing) and parse_rule(format_rule(r)) reproduces r
-exactly.
+line, normalized spacing), and parse_rule(format_rule(r)) reproduces r
+exactly for every tree the parser can build. A negative literal, which
+only a tree built in Python holds, is written (0-k): it reads back as a
+subtraction of the same value.
 """
 
 from __future__ import annotations
@@ -491,57 +494,58 @@ def parse_rule(text: str, depth: int = 64) -> FusionRule:
 # Canonical formatting
 # ---------------------------------------------------------------------------
 
-_WORDS = {node: word for word, node in _NODES.items()}
+def _format(program: tuple) -> str:
+    """Canonical text of a compiled expression or guard (see core._compile),
+    from a stack of (text, rank in _PREC, or 8 for an atom). An operand is
+    parenthesized when it binds looser than its operator, or as loose on
+    the side its operator does not group to. A negative literal, which only
+    a tree built in Python holds, is written (0-k), of the same value."""
+    stack: list[tuple[str, int]] = []
+    ends: list[tuple[int, str]] = []  # (position of its last operand op, operator) of each open operator
+    for i, (op, arg) in enumerate(program, 1):
+        if op == "lit":
+            stack.append((_decimal(arg) if arg >= 0 else f"(0-{_decimal(-arg)})", 8))
+        elif op == "var":
+            stack.append(("n", 8))
+        elif op == "dim":
+            stack.append((f"{'wh'[arg[1]]}({arg[0]})", 8))
+        elif op == "default":
+            stack.append(("default", 8))
+        elif op == "ispow":
+            stack[-1] = (f"ispow({_decimal(arg)},{stack[-1][0]})", 8)
+        elif op == "not":
+            text, rank = stack[-1]
+            stack[-1] = (f"not ({text})" if rank < 3 else f"not {text}", 3)
+        else:  # a binary operator, or an "and"/"or" that joins once its right operand is read
+            ends.append((i + (arg or 0), op))
+        while ends and ends[-1][0] == i:
+            op = ends.pop()[1]
+            (left, r), (right, q) = stack[-2], stack.pop()
+            p = _PREC[op]
+            if r < p + (op == "^"):
+                left = f"({left})"
+            if q <= p - (op == "^"):
+                right = f"({right})"
+            stack[-1] = (f"{left}{op}{right}" if p > 4 else f"{left} {op} {right}", p)
+    return stack[0][0]
 
 
-def _op(node) -> str:
-    """The _PREC key of node's operator; "" for an atom."""
-    return node.op if isinstance(node, (BinOp, Cmp)) else _WORDS.get(type(node), "")
+def format_expr(expr: IntExpr) -> str:
+    """Canonical text of an integer expression."""
+    return _format(core._compile(expr, False))
 
 
-def _prec(node) -> int:
-    """node's rank in _PREC; 8, tighter than every operator, for an atom."""
-    return _PREC.get(_op(node), 8)
-
-
-def _format(node) -> str:
-    """Canonical text of an expression or guard, parenthesized from _PREC:
-    an operand is put in parentheses when it binds looser than its
-    operator, or as loose on the side its operator does not group to."""
-    op = _op(node)
-    if not op:
-        if isinstance(node, Lit):
-            return _decimal(node.value)
-        if isinstance(node, Var):
-            return "n"
-        if isinstance(node, Dim):
-            return f"{node.axis}({node.label})"
-        if isinstance(node, Always):
-            return "default"
-        if isinstance(node, IsPow):
-            return f"ispow({_decimal(node.base)},{_format(node.exponent)})"
-        raise TypeError(f"not an expression or guard: {node!r}")
-    p = _PREC[op]
-    if op == "not":
-        inner = _format(node.operand)
-        return f"not ({inner})" if _prec(node.operand) < p else f"not {inner}"
-    left, right = _format(node.left), _format(node.right)
-    if _prec(node.left) < p + (op == "^"):
-        left = f"({left})"
-    if _prec(node.right) <= p - (op == "^"):
-        right = f"({right})"
-    return f"{left}{op}{right}" if p > 4 else f"{left} {op} {right}"
-
-
-format_expr = format_guard = _format
+def format_guard(guard: Guard) -> str:
+    """Canonical text of a guard."""
+    return _format(core._compile(guard, True))
 
 
 def _format_placement(p: Placement, first: bool) -> str:
     s = p.child
     if p.repeat != Lit(1):
-        s += f"^({_format(p.repeat)})"
+        s += f"^({format_expr(p.repeat)})"
     if p.offset is not None and not (first and p.offset == (Lit(0), Lit(0))):
-        s += f"@({_format(p.offset[0])},{_format(p.offset[1])})"
+        s += f"@({format_expr(p.offset[0])},{format_expr(p.offset[1])})"
     return s
 
 
@@ -551,7 +555,9 @@ def format_rule(rule: FusionRule) -> str:
     The canonical form has one `level default:` block with each definition
     carrying its own guard, prototile cells sorted and anchored at (0,0),
     and defaulted fields (volume, unit cell, first offset (0,0), repeat 1)
-    omitted. parse_rule(format_rule(r)) == r.
+    omitted. parse_rule(format_rule(r)) == r for every tree the parser can
+    build; a negative literal reads back as a subtraction of the same value
+    (see _format).
     """
     lines = [f"rule {rule.name} dim {rule.dimension}"]
     for p in rule.prototiles:
@@ -568,7 +574,7 @@ def format_rule(rule: FusionRule) -> str:
                 _format_placement(p, i == 0) for i, p in enumerate(d.body)
             )
             line = f"  {d.label} = {body}"
-            if not isinstance(d.guard, Always):
-                line += f" if {_format(d.guard)}"
+            if d.guard != Always():
+                line += f" if {format_guard(d.guard)}"
             lines.append(line)
     return "\n".join(lines) + "\n"

@@ -384,6 +384,13 @@ class TestValidateRule:
         (d,) = structure_diagnostics("r", 1, (Prototile("A", True),), (SupertileDef("A", (Placement("A"),)),))
         assert (d.code, d.message) == ("bad-volume", "prototile 'A' has volume 1, a bool, not an int or Fraction")
 
+    def test_volume_that_is_not_a_number(self):
+        # compared before its type was tested, it raised a bare TypeError
+        (d,) = structure_diagnostics("r", 1, (Prototile("A", "3"),), (SupertileDef("A", (Placement("A"),)),))
+        assert (d.code, d.message) == ("bad-volume", "prototile 'A' has volume '3', a str, not an int or Fraction")
+        (d,) = structure_diagnostics("r", 1, (Prototile("A", float("nan")),), (SupertileDef("A", (Placement("A"),)),))
+        assert (d.code, d.message) == ("bad-volume", "prototile 'A' has volume nan, a float, not an int or Fraction")
+
     def test_int_volume_is_exact(self):
         rule = FusionRule("r", 1, (Prototile("A", 3),), (SupertileDef("A", (Placement("A", Lit(2)),)),))
         assert rule.prototile("A").volume == 3
@@ -503,6 +510,52 @@ class TestValidateRule:
         diags = validate_rule(rule, 10)
         assert [d.code for d in diags] == ["invalid-repeat"]
         assert diags[0].level == 1
+
+
+def _one(repeat=Lit(1), guard=Always(), child="A", dimension=1):
+    """The fields of a rule with one placement and one guarded definition."""
+    return ("r", dimension, (Prototile("A"),), (SupertileDef("A", (Placement(child, repeat),), guard), SupertileDef("A", (Placement("A"),))))
+
+
+class TestTreesCheckedAtConstruction:
+    """Every repeat, offset and guard compiles when the rule is built, so a
+    malformed tree is a diagnostic, not an error at its first evaluation."""
+
+    @pytest.mark.parametrize(
+        "fields, code, message",
+        [
+            (_one(repeat=Lit(1.5)), "bad-expr", "Lit(1.5) cannot stand in an integer expression"),
+            (_one(repeat=Lit(True)), "bad-expr", "Lit(True) cannot stand in an integer expression"),
+            (_one(repeat=3), "bad-expr", "3 cannot stand in an integer expression"),
+            (_one(repeat="n"), "bad-expr", "'n' cannot stand in an integer expression"),
+            (_one(repeat=BinOp("%", Var(), Lit(2))), "bad-expr", "BinOp('%', …, …) cannot stand in an integer expression"),
+            (_one(repeat=BinOp("+", Var(), Cmp("==", Var(), Lit(1)))), "bad-expr", "Cmp('==', …, …) cannot stand in an integer expression"),
+            (_one(repeat=Dim("h", "A")), "bad-expr", "h() is only available in dimension 2"),
+            (_one(guard=True), "bad-guard", "True cannot stand in a guard"),
+            (_one(guard=Cmp("<>", Var(), Lit(1))), "bad-guard", "Cmp('<>', …, …) cannot stand in a guard"),
+            (_one(guard=Not(IsPow(2.5, Var()))), "bad-guard", "IsPow(2.5, …) cannot stand in a guard"),
+            (_one(guard=Cmp("==", Dim("w", "A"), Lit(1))), "bad-guard", "Dim('w', 'A') cannot stand in a guard"),
+            (_one(guard=Or(Always(), Var())), "bad-guard", "Var() cannot stand in a guard"),
+            (_one(child=3), "bad-child", "placement child 3 is not a label"),
+        ],
+    )
+    def test_malformed_tree(self, fields, code, message):
+        (d,) = structure_diagnostics(*fields)
+        assert (d.code, d.message, d.label) == (code, message, "A")
+
+    def test_every_malformed_tree_is_named(self):
+        diags = structure_diagnostics(
+            "r", 2,
+            (Prototile("P", cells=((0, 0),)),),
+            (SupertileDef("P", (Placement("P", offset=(Lit(0), Lit(0.5))), Placement(None, offset=(Var(), Dim("w", 1)))), Always),),
+        )
+        assert [d.code for d in diags] == ["bad-expr", "bad-child", "bad-expr", "bad-guard"]
+
+    def test_eval_reports_a_malformed_tree(self):
+        with pytest.raises(ValueError, match="cannot stand in an integer expression"):
+            eval_expr(BinOp("+", Var(), 1), 1)
+        with pytest.raises(ValueError, match="cannot stand in a guard"):
+            eval_guard(Cmp("==", Dim("w", "A"), Lit(1)), 1)
 
 
 class TestGuardTotality:

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 import sys
 import time
 from decimal import Decimal
@@ -24,6 +26,8 @@ from fusionlab.core import (
     Prototile,
     SupertileDef,
     Var,
+    eval_expr,
+    eval_guard,
     resolve_level,
 )
 from fusionlab.dsl import (
@@ -41,7 +45,14 @@ from fusionlab.dsl import (
     parse_rule,
     parse_rule_text,
 )
-from fusionlab.errors import ParseError, ValidationError, _frac_str, _integer
+from fusionlab.errors import (
+    NegativeExponentError,
+    ParseError,
+    UnknownDimensionError,
+    ValidationError,
+    _frac_str,
+    _integer,
+)
 
 
 class TestParseBasics:
@@ -354,6 +365,28 @@ def test_frac_str_writes_any_length(bits, data, denominator):
     assert _integer(digits) == _integer("0" * 700 + digits) == abs(numerator)
 
 
+class TestNegativeLiterals:
+    """Only a tree built in Python holds a negative literal; the parser
+    reads none, as "-" is only binary."""
+
+    def test_written_so_that_the_text_parses_to_the_same_levels(self):
+        one, two = BinOp("+", Var(), Lit(-1)), BinOp("^", Lit(-2), Lit(2))
+        rules = [
+            FusionRule("r", 1, (Prototile("A"), Prototile("B")), (
+                SupertileDef("A", (Placement("A", BinOp("-", one, Lit(-2))), Placement("B", two)), Cmp(">", Var(), Lit(-1))),
+                SupertileDef("B", (Placement("A"),)),
+            )),
+            FusionRule("s", 2, (Prototile("P", cells=((0, 0),)),), (
+                SupertileDef("P", (Placement("P", offset=(Lit(0), Lit(0))), Placement("P", offset=(BinOp("+", Dim("w", "P"), Lit(-1)), Lit(-2))))),
+            )),
+        ]
+        assert "  A = A^(n+(0-1)-(0-2)) B^((0-2)^2) if n > (0-1)" in format_rule(rules[0]).splitlines()
+        assert "  P = P P@(w(P)+(0-1),(0-2))" in format_rule(rules[1]).splitlines()
+        for rule in rules:
+            again = parse_rule(format_rule(rule))
+            assert [resolve_level(again, n) for n in range(1, 7)] == [resolve_level(rule, n) for n in range(1, 7)]
+
+
 class TestLongLiterals:
     """Integer literals past str()'s default 4300-digit limit, which is left
     as it is."""
@@ -406,6 +439,23 @@ class TestDeepNesting:
         assert parse_rule(canonical) == rule
         assert len(resolve_level(rule, 2).supertiles) == len(rule.prototiles)
         assert time.perf_counter() - start < 1
+        assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize(
+        "repeat, guard",
+        [("+".join(["n"] * 100_000), "n >= 1"), ("n", " or ".join(f"n == {k}" for k in range(1, 10_001)))],
+        ids=["sum", "or"],
+    )
+    def test_deep_trees_parse_format_round_trip_and_resolve(self, repeat, guard):
+        # a left-deep tree of one node per term, which the parser builds flat
+        limit = sys.getrecursionlimit()
+        text = f"rule r dim 1 prototile A prototile B level default: A = A^({repeat}) B if {guard} A = B B = A\n"
+        rule = parse_rule_text(text)
+        canonical = format_rule(rule)
+        assert f"  A = A^({repeat}) B if {guard}" in canonical.splitlines()
+        assert format_rule(parse_rule_text(canonical)) == canonical
+        terms = repeat.count("n")
+        assert [resolve_level(rule, n).supertile("A").body[0].repeat for n in (1, 2, 3)] == [terms, 2 * terms, 3 * terms]
         assert sys.getrecursionlimit() == limit
 
     def test_unclosed_group_is_named_at_end_of_input(self):
@@ -659,7 +709,8 @@ def _oracle_expr_prec(e):
 
 def oracle_format_expr(e):
     if isinstance(e, Lit):
-        return str(e.value)
+        # a negative literal as (0-k), which parses again
+        return str(e.value) if e.value >= 0 else f"(0-{-e.value})"
     if isinstance(e, Var):
         return "n"
     if isinstance(e, Dim):
@@ -710,11 +761,65 @@ def oracle_format_guard(g):
     return f"{left} {word} {right}"
 
 
-def expr_trees(dims=True):
-    """Random expressions: literals >= 0, n, and w(A)/h(A) when dims."""
-    leaves = st.one_of(st.integers(0, 10**30).map(Lit), st.just(Var()))
-    if dims:
-        leaves = st.one_of(leaves, st.sampled_from((Dim("w", "A"), Dim("h", "A"))))
+# The recursive evaluators that core._run replaced, kept as oracles: one
+# call per node, and one isinstance ladder each.
+
+_ORACLE_CMP = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def oracle_eval_expr(expr, n, dims=None):
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        return n
+    if isinstance(expr, Dim):
+        if dims is None or expr.label not in dims:
+            raise UnknownDimensionError(expr.label)
+        w, h = dims[expr.label]
+        return w if expr.axis == "w" else h
+    a = oracle_eval_expr(expr.left, n, dims)
+    b = oracle_eval_expr(expr.right, n, dims)
+    if expr.op == "+":
+        return a + b
+    if expr.op == "-":
+        return a - b
+    if expr.op == "*":
+        return a * b
+    if b < 0:
+        raise NegativeExponentError(b)
+    return a**b
+
+
+def oracle_eval_guard(guard, n):
+    if isinstance(guard, Always):
+        return True
+    if isinstance(guard, Cmp):
+        return _ORACLE_CMP[guard.op](oracle_eval_expr(guard.left, n), oracle_eval_expr(guard.right, n))
+    if isinstance(guard, IsPow):
+        v = oracle_eval_expr(guard.exponent, n)
+        b = guard.base
+        if v < b:
+            return False
+        while v % b == 0:
+            v //= b
+        return v == 1
+    if isinstance(guard, Not):
+        return not oracle_eval_guard(guard.operand, n)
+    if isinstance(guard, And):
+        return oracle_eval_guard(guard.left, n) and oracle_eval_guard(guard.right, n)
+    return oracle_eval_guard(guard.left, n) or oracle_eval_guard(guard.right, n)
+
+
+def expr_trees(axes="wh"):
+    """Random expressions: literals >= 0, n, and w(A)/h(A) for each axis."""
+    leaves = st.one_of(st.integers(0, 10**30).map(Lit), st.just(Var()), *(st.just(Dim(a, "A")) for a in axes))
     return st.recursive(
         leaves,
         lambda sub: st.builds(BinOp, st.sampled_from("+-*^"), sub, sub),
@@ -727,8 +832,8 @@ _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 guard_trees = st.recursive(
     st.one_of(
         st.just(Always()),
-        st.builds(Cmp, st.sampled_from(_CMP_OPS), expr_trees(False), expr_trees(False)),
-        st.builds(IsPow, st.integers(2, 12), expr_trees(False)),
+        st.builds(Cmp, st.sampled_from(_CMP_OPS), expr_trees(""), expr_trees("")),
+        st.builds(IsPow, st.integers(2, 12), expr_trees("")),
     ),
     lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
     max_leaves=8,
@@ -751,6 +856,178 @@ def test_format_matches_the_oracle_and_round_trips(tree):
     text = (format_guard if guard else format_expr)(tree)
     assert text == (oracle_format_guard if guard else oracle_format_expr)(tree)
     assert _read(text, guard) == tree
+
+
+def value_trees(axes="wh"):
+    """Random expressions whose values stay small enough to compute:
+    literals -2..3, n, w(A)/h(A) for each axis, and exponents that are
+    leaves, so that a negative one raises NegativeExponentError."""
+    leaves = st.one_of(st.integers(-2, 3).map(Lit), st.just(Var()), *(st.just(Dim(a, "A")) for a in axes))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(st.builds(BinOp, st.sampled_from("+-*"), sub, sub), st.builds(BinOp, st.just("^"), sub, leaves)),
+        max_leaves=12,
+    )
+
+
+value_guards = st.recursive(
+    st.one_of(
+        st.just(Always()),
+        st.builds(Cmp, st.sampled_from(_CMP_OPS), value_trees(""), value_trees("")),
+        st.builds(IsPow, st.integers(2, 4), value_trees("")),
+    ),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=8,
+)
+
+
+def _result(call):
+    """The value of call(), or the type of the error it raised."""
+    try:
+        return "=", call()
+    except Exception as e:
+        return "!", type(e)
+
+
+def _evaluated(tree, n, dims, oracle=False):
+    """(value or error, text) of tree, from the library or from the oracles."""
+    if isinstance(tree, (Lit, Var, Dim, BinOp)):
+        run, write = (oracle_eval_expr, oracle_format_expr) if oracle else (eval_expr, format_expr)
+        return _result(lambda: run(tree, n, dims)), write(tree)
+    run, write = (oracle_eval_guard, oracle_format_guard) if oracle else (eval_guard, format_guard)
+    return _result(lambda: run(tree, n)), write(tree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tree=st.one_of(value_trees(), value_guards),
+    n=st.integers(0, 6),
+    dims=st.sampled_from((None, {"A": (3, 2)}, {"B": (3, 2)})),
+)
+def test_programs_match_the_recursive_oracles(tree, n, dims):
+    assert _evaluated(tree, n, dims) == _evaluated(tree, n, dims, oracle=True)
+
+
+def _deep_tree(rng, depth, guard):
+    """A tree `depth` nodes deep: a spine of random operators, each node
+    with a small random tree beside it, on either side."""
+
+    def side():
+        e = rng.choice((Lit(rng.randint(-2, 3)), Var()))
+        if rng.random() < 0.5:
+            e = BinOp(rng.choice("+-*^"), e, Lit(rng.randint(0, 2)))
+        if not guard:
+            return e
+        return rng.choice((Cmp(rng.choice(_CMP_OPS), e, Var()), IsPow(rng.randint(2, 4), e)))
+
+    tree = side()
+    for _ in range(depth):
+        if guard:
+            node = rng.choice((Not, And, Or))
+            if node is Not:
+                tree = Not(tree)
+                continue
+        else:
+            node = lambda left, right: BinOp(rng.choice("+-+-+-*"), left, right)  # noqa: E731
+        tree = node(tree, side()) if rng.random() < 0.5 else node(side(), tree)
+    return tree
+
+
+@pytest.mark.parametrize("guard", [False, True], ids=["expr", "guard"])
+def test_a_deep_tree_matches_the_recursive_oracles(guard):
+    # seed 2 gives values that change with n, guards included
+    tree = _deep_tree(random.Random(2), 10_000, guard)
+    limit = sys.getrecursionlimit()
+    got = [_evaluated(tree, n, None) for n in range(6)]
+    assert sys.getrecursionlimit() == limit
+    # the oracles recurse once per node, so they alone get a higher limit
+    sys.setrecursionlimit(limit + 20_000)
+    try:
+        want = [_evaluated(tree, n, None, oracle=True) for n in range(6)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
+def test_guards_short_circuit():
+    # evaluated whole, the right side raises NegativeExponentError at n = 1
+    guard = _read("n > 3 and 2^(n-4) == 1", True)
+    assert [eval_guard(guard, n) for n in (1, 4, 5)] == [False, True, False]
+    assert eval_guard(Or(Cmp("<", Var(), Lit(4)), guard), 1) is True
+
+
+@st.composite
+def tree_rules(draw):
+    """Random rules of either dimension whose repeats or offsets and guards
+    are random trees, h() in dimension 2 only. Their structure is valid,
+    whether or not their levels resolve."""
+    dimension = draw(st.sampled_from((1, 2)))
+    names = ("A", "B")
+    if dimension == 1:
+        placement = st.builds(Placement, st.sampled_from(names), expr_trees("w"))
+        prototiles = tuple(Prototile(name) for name in names)
+    else:
+        offset = st.tuples(expr_trees(), expr_trees())
+        placement = st.builds(Placement, st.sampled_from(names), st.just(Lit(1)), offset)
+        prototiles = tuple(Prototile(name, cells=((0, 0),)) for name in names)
+    definitions = tuple(
+        SupertileDef(name, tuple(draw(st.lists(placement, min_size=1, max_size=2))), draw(guard_trees))
+        for name in names
+    )
+    return FusionRule("trees", dimension, prototiles, definitions)
+
+
+_EXPRS = (Lit, Var, Dim, BinOp)
+_GUARDS = (Always, Cmp, IsPow, Not, And, Or)
+
+
+def _broken(data, tree, where):
+    """tree with the node at a drawn depth replaced by one that cannot stand
+    there; where is "guard", "expr" or "1d" (an expression in dimension 1)."""
+    subtrees = [f.name for f in dataclasses.fields(tree) if isinstance(getattr(tree, f.name), _EXPRS + _GUARDS)]
+    if subtrees and data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(subtrees))
+        return dataclasses.replace(tree, **{name: _broken(data, getattr(tree, name), where)})
+    if isinstance(tree, _GUARDS):
+        bad = (True, Lit(1), Var(), Cmp("<>", Var(), Lit(1)), IsPow(2.5, Var()))
+    else:
+        bad = (Lit(1.5), Lit(True), 3, "n", BinOp("%", Var(), Lit(1)), Always(), Dim("x", "A"), Dim("w", 3))
+        bad += {"guard": (Dim("w", "A"),), "1d": (Dim("h", "A"),), "expr": ()}[where]
+    return data.draw(st.sampled_from(bad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule=tree_rules(), data=st.data())
+def test_a_broken_tree_is_a_validation_error(rule, data):
+    """One node broken at a drawn depth of one tree of a valid rule (it was
+    built, so none is rejected): building the rule raises ValidationError
+    naming that tree's kind and its definition, never a bare error."""
+    k = data.draw(st.integers(0, len(rule.definitions) - 1))
+    d = rule.definitions[k]
+    part = data.draw(st.sampled_from(("guard", "tree", "child")))
+    if part == "guard":
+        d = dataclasses.replace(d, guard=_broken(data, d.guard, "guard"))
+        code = "bad-guard"
+    else:
+        i = data.draw(st.integers(0, len(d.body) - 1))
+        p = d.body[i]
+        if part == "child":
+            p = dataclasses.replace(p, child=data.draw(st.sampled_from((3, None, ("A",)))))
+            code = "bad-child"
+        elif rule.dimension == 1:
+            p = dataclasses.replace(p, repeat=_broken(data, p.repeat, "1d"))
+            code = "bad-expr"
+        else:
+            a = data.draw(st.integers(0, 1))
+            offset = list(p.offset)
+            offset[a] = _broken(data, offset[a], "expr")
+            p = dataclasses.replace(p, offset=tuple(offset))
+            code = "bad-expr"
+        d = dataclasses.replace(d, body=d.body[:i] + (p,) + d.body[i + 1 :])
+    definitions = rule.definitions[:k] + (d,) + rule.definitions[k + 1 :]
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(rule, definitions=definitions)
+    assert [(e.code, e.label) for e in exc.value.diagnostics] == [(code, d.label)]
 
 
 # one token each, as the tokenizer splits text; "w(A)" and "ispow(" are two
