@@ -12,11 +12,13 @@ is a convex combination of these vertices. A hull shrinking to a point is
 evidence (never proof, at finite depth) of a unique frequency measure.
 A vertex does not change when the whole matrix is scaled, as a column and
 its volume scale together, so the hulls read M_{n,N} with the gcd of its
-entries divided out (transition._reduced_column_rows), and each horizon's
-volumes are summed from those reduced columns, never read from the rule's
-volume table past level n. The hull sweep compares pair distances in
-integers and normalizes one Fraction per horizon, its diameter; vertex
-Fractions are built only where a result returns them.
+entries divided out (transition._reduced_column_rows, whose gcds start
+from the step determinants; a level-free rule's single hull divides its
+powered matrix once), and each horizon's volumes are summed from those
+reduced columns, never read from the rule's volume table past level n.
+The hull sweep compares pair distances in integers and normalizes one
+Fraction per horizon, its diameter; vertex Fractions are built only where
+a result returns them.
 
 A 2D van Hove ratio is read from the supertile's row runs, which one
 fold over the levels merges from the children's runs, so its cost grows
@@ -46,7 +48,7 @@ from .expand import (
     expand_supertile,
     occurrences_2d,
 )
-from .transition import _column_rows, _reduced_column_rows, volumes
+from .transition import _column_rows, _reduced_column_rows, _top_columns, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +305,21 @@ def _hull(n: int, N: int, labels, cols: dict, vol_n, L: int, vols, diameter: Fra
 
 
 def frequency_hull(rule: FusionRule, n: int, N: int) -> FrequencyHull:
-    """Volume-normalized columns of M_{n,N} plus diameter and centroid."""
+    """Volume-normalized columns of M_{n,N} plus diameter and centroid.
+
+    M_{n,N} is read with its content divided out: from the last level of
+    the reduced fold, or for a level-free rule from the powered matrix,
+    divided once (transition._top_columns).
+    """
     if N <= n or n < 0:
         raise InvalidRangeError(n, N, "0 <= from < to")
-    cols = deque(_reduced_column_rows(rule, n, N), maxlen=1)[0]
+    labels, cols = _top_columns(rule, n, N, True)
     vol_n = volumes(rule, n).values
     L, w = _over_one_denominator(vol_n)
     cols_N = tuple(cols.values())
     vols = _scaled_volumes(cols_N, w)
     diameter, _, _ = _widest_pair(cols_N, w, vols)
-    return _hull(n, N, resolve_level(rule, n).labels, cols, vol_n, L, vols, diameter)
+    return _hull(n, N, labels, cols, vol_n, L, vols, diameter)
 
 
 @dataclass(frozen=True)
@@ -356,8 +363,9 @@ def ergodicity_report(
     diagnostics, not proofs. window must be at least 1, and tol and floor
     at least 0.
 
-    Each horizon costs the gcd that reduces its columns
-    (transition._reduced_column_rows) and one Fraction, its diameter
+    Each horizon costs the gcd that reduces its columns, started from
+    |det S| of its step S where S is square
+    (transition._reduced_column_rows), and one Fraction, its diameter
     (_widest_pair). Vertex Fractions are built for the hull at depth and,
     when the verdict is multiple, for the two trajectory vertices of every
     horizon.

@@ -360,6 +360,19 @@ class FusionRule:
         # needs the bounding boxes of the level below
         return any(_has_dim(e) for _, _, body in self._programs for _, repeat, offset in body for e in (repeat, *(offset or ())))
 
+    @cached_property
+    def _level_free(self) -> bool:
+        # whether no guard, repeat or offset reads n or w()/h(), so that every
+        # level from 2 up resolves as level 2 does, as a substitution's levels
+        # do: the rule's guards pick the same definitions at every level, and
+        # level 2's children are level 1's labels, as each later level's are
+        return not any(
+            op == "var" or op == "dim"
+            for _, guard, body in self._programs
+            for program in (guard, *(e for _, repeat, offset in body for e in (repeat, *(offset or ()))))
+            for op, _ in program
+        )
+
 
 # Keeps threads that share a rule from appending one level twice.
 _FILL_LOCK = threading.RLock()
@@ -710,10 +723,12 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
 
     Returns diagnostics instead of raising so a caller can report the
     failing level and label. Resolution stops at the first level that
-    fails, since later levels depend on its label set.
+    fails, since later levels depend on its label set. A level-free rule
+    (FusionRule._level_free) resolves every level above 2 as level 2, so
+    levels 1..min(depth, 2) give its diagnostics for any depth.
     """
     out: list[Diagnostic] = []
-    for n in range(1, depth + 1):
+    for n in range(1, (min(depth, 2) if rule._level_free else depth) + 1):
         try:
             resolve_level(rule, n)
         except EmptyLevelError:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import core
 from .core import (
@@ -496,11 +496,16 @@ def parse_rule(text: str, depth: int = 64) -> FusionRule:
 
 def _format(program: tuple) -> str:
     """Canonical text of a compiled expression or guard (see core._compile),
-    from a stack of (text, rank in _PREC, or 8 for an atom). An operand is
+    from a stack of (pieces, rank in _PREC, or 8 for an atom). An operand is
     parenthesized when it binds looser than its operator, or as loose on
     the side its operator does not group to. A negative literal, which only
-    a tree built in Python holds, is written (0-k), of the same value."""
-    stack: list[tuple[str, int]] = []
+    a tree built in Python holds, is written (0-k), of the same value.
+
+    An operator's pieces are a list that holds its operands' lists, not
+    their text, so each node costs the same whatever its depth. The text is
+    joined once, from the pieces read off in order by an explicit stack.
+    """
+    stack: list[tuple[Any, int]] = []
     ends: list[tuple[int, str]] = []  # (position of its last operand op, operator) of each open operator
     for i, (op, arg) in enumerate(program, 1):
         if op == "lit":
@@ -512,10 +517,10 @@ def _format(program: tuple) -> str:
         elif op == "default":
             stack.append(("default", 8))
         elif op == "ispow":
-            stack[-1] = (f"ispow({_decimal(arg)},{stack[-1][0]})", 8)
+            stack[-1] = ([f"ispow({_decimal(arg)},", stack[-1][0], ")"], 8)
         elif op == "not":
             text, rank = stack[-1]
-            stack[-1] = (f"not ({text})" if rank < 3 else f"not {text}", 3)
+            stack[-1] = (["not (", text, ")"] if rank < 3 else ["not ", text], 3)
         else:  # a binary operator, or an "and"/"or" that joins once its right operand is read
             ends.append((i + (arg or 0), op))
         while ends and ends[-1][0] == i:
@@ -523,11 +528,19 @@ def _format(program: tuple) -> str:
             (left, r), (right, q) = stack[-2], stack.pop()
             p = _PREC[op]
             if r < p + (op == "^"):
-                left = f"({left})"
+                left = ["(", left, ")"]
             if q <= p - (op == "^"):
-                right = f"({right})"
-            stack[-1] = (f"{left}{op}{right}" if p > 4 else f"{left} {op} {right}", p)
-    return stack[0][0]
+                right = ["(", right, ")"]
+            stack[-1] = ([left, op if p > 4 else f" {op} ", right], p)
+    out: list[str] = []
+    todo = [stack[0][0]]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            todo += reversed(piece)
+    return "".join(out)
 
 
 def format_expr(expr: IntExpr) -> str:
@@ -540,13 +553,21 @@ def format_guard(guard: Guard) -> str:
     return _format(core._compile(guard, True))
 
 
-def _format_placement(p: Placement, first: bool) -> str:
-    s = p.child
-    if p.repeat != Lit(1):
-        s += f"^({format_expr(p.repeat)})"
-    if p.offset is not None and not (first and p.offset == (Lit(0), Lit(0))):
-        s += f"@({format_expr(p.offset[0])},{format_expr(p.offset[1])})"
+def _format_placement(child: str, repeat: tuple, offset: Optional[tuple], first: bool) -> str:
+    """Text of a placement from its programs, as the rule keeps them."""
+    s = child
+    if repeat != _ONE:
+        s += f"^({_format(repeat)})"
+    if offset is not None and not (first and offset == (_ZERO, _ZERO)):
+        s += f"@({_format(offset[0])},{_format(offset[1])})"
     return s
+
+
+# The programs of the defaults format_rule leaves out: repeat 1, a first
+# offset (0, 0) and the guard that always holds.
+_ONE = (("lit", 1),)
+_ZERO = (("lit", 0),)
+_ALWAYS = (("default", True),)
 
 
 def format_rule(rule: FusionRule) -> str:
@@ -569,12 +590,12 @@ def format_rule(rule: FusionRule) -> str:
         lines.append(line)
     if rule.definitions:
         lines.append("level default:")
-        for d in rule.definitions:
+        for label, guard, programs in rule._programs:
             body = " ".join(
-                _format_placement(p, i == 0) for i, p in enumerate(d.body)
+                _format_placement(*p, i == 0) for i, p in enumerate(programs)
             )
-            line = f"  {d.label} = {body}"
-            if d.guard != Always():
-                line += f" if {format_guard(d.guard)}"
+            line = f"  {label} = {body}"
+            if guard != _ALWAYS:
+                line += f" if {_format(guard)}"
             lines.append(line)
     return "\n".join(lines) + "\n"

@@ -8,17 +8,25 @@ is the canonical supertile order of the respective levels.
 
 A matrix is built by one fold of columns over the levels: column j of
 M[n -> k] sums repeat x child column of M[n -> k-1] over the body of
-level-k supertile j. compose is the independent matrix product.
+level-k supertile j. A level-free rule (FusionRule._level_free, whose
+guards, repeats and offsets read neither n nor w()/h()) is a substitution:
+every level from 2 up resolves as level 2 does, so its matrices fold only
+up to level 2 and reach M[n -> N] by repeated squaring of the step S into
+level 2. compose multiplies through the same entry product, _product.
 
 The hulls read M[n -> k] up to scale only, so their fold
 (_reduced_column_rows) divides each level's matrix by its content, the gcd
 of its entries. As M[n -> k+1] = M[n -> k] . S for the step matrix S, the
 content of one level divides the content of the next, and the reduced
-matrix can be carried forward in its place.
+matrix can be carried forward in its place. When S is square, the content
+of M' . S for a reduced M' also divides det S (M' . S . adj S = det S . M'),
+so each level's gcd starts from |det S|, found by fraction-free elimination
+(_det), and reduces every large entry by that small number.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,14 +86,24 @@ def compose(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
             a.to_level, b.from_level, "a.to_level == b.from_level and a.col_labels == b.row_labels",
             f"a.to_level={a.to_level} b.from_level={b.from_level} a.col_labels={a.col_labels} b.row_labels={b.row_labels}",
         )
-    entries = tuple(
-        tuple(
-            sum(a.entries[i][k] * b.entries[k][j] for k in range(len(a.col_labels)))
-            for j in range(len(b.col_labels))
-        )
-        for i in range(len(a.row_labels))
-    )
-    return TransitionMatrix(a.from_level, b.to_level, a.row_labels, b.col_labels, entries)
+    return TransitionMatrix(a.from_level, b.to_level, a.row_labels, b.col_labels, _product(a.entries, b.entries))
+
+
+def _product(a: tuple, b: tuple) -> tuple[tuple[int, ...], ...]:
+    """Entries of the matrix product a . b, each matrix given by its rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+
+def _times_power(m: tuple, s: tuple, p: int) -> tuple:
+    """Entries of m . s^p (p >= 0), squaring s once per bit of p."""
+    while p:
+        if p & 1:
+            m = _product(m, s)
+        p >>= 1
+        if p:
+            s = _product(s, s)
+    return m
 
 
 def step_matrix(rule: FusionRule, k: int) -> TransitionMatrix:
@@ -97,11 +115,40 @@ def transition_matrix(rule: FusionRule, n: int, N: int) -> TransitionMatrix:
     """Counts of level-n supertiles inside level-N supertiles (n <= N).
 
     N == n yields the identity. One fold of columns over levels n..N that
-    holds two levels at a time (_column_rows); only the level resolutions
-    are kept on the rule.
+    holds two levels at a time (_column_rows), or for a level-free rule a
+    fold to level 2 at most and a power of one step (_top_columns); only
+    the level resolutions are kept on the rule.
     """
-    cols = deque(_column_rows(rule, n, N), maxlen=1)[0]
-    return _matrix(n, N, resolve_level(rule, n).labels, cols)
+    labels, cols = _top_columns(rule, n, N, False)
+    return _matrix(n, N, labels, cols)
+
+
+def _top_columns(rule: FusionRule, n: int, N: int, reduced: bool) -> tuple[tuple[str, ...], dict]:
+    """The level-n labels and the columns by label of M[n -> N], divided by
+    its content when reduced: the last level of _column_rows, or of
+    _reduced_column_rows when reduced.
+
+    A level-free rule resolves every level from 2 up as level 2, so
+    M[n -> N] is M[b -> t] . S^(N - n + b - t) for b = min(n, 2), t =
+    min(N - n + b, 2) and S the step from level 1 into level 2. Only levels
+    up to t <= N are resolved, so a failing level raises as the walk raises
+    it, and a level above N never does. The powered matrix is divided by
+    its content once.
+    """
+    if N < n or n < 0:
+        raise InvalidRangeError(n, N)
+    if not rule._level_free:
+        fold = _reduced_column_rows if reduced else _column_rows
+        return resolve_level(rule, n).labels, deque(fold(rule, n, N), maxlen=1)[0]
+    b = min(n, 2)
+    top = N - n + b
+    cols = deque(_column_rows(rule, b, min(top, 2)), maxlen=1)[0]
+    if top > 2:
+        step = tuple(zip(*deque(_column_rows(rule, 1, 2), maxlen=1)[0].values()))
+        cols = dict(zip(cols, zip(*_times_power(tuple(zip(*cols.values())), step, top - 2))))
+    if reduced:
+        _divide(cols, _content(cols, 0))
+    return resolve_level(rule, b).labels, cols
 
 
 def _column_rows(rule: FusionRule, n: int, N: int):
@@ -123,25 +170,88 @@ def _reduced_column_rows(rule: FusionRule, n: int, N: int):
     by the matrix's content, so that their entries have gcd 1.
 
     _fold_levels folds the next level from the very dict it yielded, so the
-    division, done in that dict, carries the reduced matrix forward.
+    division, done in that dict, carries the reduced matrix forward. The
+    content of a level's product divides |det S| of its step S, so once
+    its entries are longer than _DET_BITS the gcd starts from |det S|
+    (_step_det). It starts from 0, a full gcd, on shorter entries, where S
+    is not square and where det S = 0. A level-free rule's steps from
+    level 2 up are all the step into level 2, so its determinant is found
+    once.
     """
-    for cols in _column_rows(rule, n, N):
-        g = _content(cols)
-        if g > 1:
-            for label, col in cols.items():
-                cols[label] = tuple(e // g for e in col)
+    rows = _column_rows(rule, n, N)
+    yield next(rows)  # the identity, of content 1
+    free = None  # a level-free rule's |det S| for every step from level 2 up
+    for k, cols in enumerate(rows, n + 1):
+        det = 0
+        if next(iter(cols.values()))[0].bit_length() > _DET_BITS:
+            if rule._level_free and k >= 2:
+                free = det = _step_det(rule, 2) if free is None else free
+            else:
+                det = _step_det(rule, k)
+        _divide(cols, _content(cols, det))
         yield cols
 
 
-def _content(cols: dict) -> int:
-    """The gcd of every entry of the columns, stopping once it is 1."""
-    g = 0
+# The length, in bits, of a level's first entry above which its gcd starts
+# from the determinant of its step. Below it a full gcd costs less than
+# finding det S (about 4 us, as a gcd of two 350-bit entries in Euclid's
+# worst case does). Any value gives the same contents.
+_DET_BITS = 512
+
+
+def _divide(cols: dict, g: int) -> None:
+    """Divide every column, in place, by g, a common factor of the entries."""
+    if g > 1:
+        for label, col in cols.items():
+            cols[label] = tuple(e // g for e in col)
+
+
+def _content(cols: dict, g: int) -> int:
+    """The gcd of g and every entry of the columns, stopping once it is 1:
+    the content of the matrix for g = 0 or a multiple of the content. Each
+    gcd with a small g first reduces the large entry modulo g."""
     for col in cols.values():
         for e in col:
-            g = gcd(g, e)
             if g == 1:
                 return 1
+            g = gcd(g, e)
     return g
+
+
+def _step_det(rule: FusionRule, k: int) -> int:
+    """|det S| of the step from level k-1 into level k, 0 if not square."""
+    index = {label: i for i, label in enumerate(resolve_level(rule, k - 1).labels)}
+    supertiles = resolve_level(rule, k).supertiles
+    if len(index) != len(supertiles):
+        return 0
+    rows = [[0] * len(index) for _ in index]
+    for j, s in enumerate(supertiles):
+        for p in s.body:
+            rows[index[p.child]][j] += p.repeat
+    return abs(_det(rows))
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, given as a list of row lists
+    that it overwrites, by fraction-free elimination (Bareiss, Math. Comp.
+    22, 1968): step k replaces each entry below and right of the pivot by a
+    2 x 2 minor divided exactly by the previous pivot, so every entry stays
+    an integer, a minor of the matrix."""
+    sign, prev = 1, 1
+    m = len(rows)
+    for k in range(m - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, m) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 def _matrix(n: int, N: int, row_labels: tuple[str, ...], cols: dict) -> TransitionMatrix:

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_expand import _brute_components, outcome, random_2d_rules, reference_tiles
 
-from fusionlab import analysis, core, expand
+from fusionlab import analysis, core, expand, transition
 from fusionlab.analysis import (
     ErgodicityReport,
     FrequencyHull,
@@ -21,7 +22,7 @@ from fusionlab.analysis import (
     word_count,
 )
 from fusionlab.builtins import builtin_text, load_builtin
-from fusionlab.core import BinOp, FusionRule, Lit, Placement, Prototile, SupertileDef, Var, resolve_level
+from fusionlab.core import BinOp, FusionRule, IsPow, Lit, Placement, Prototile, SupertileDef, Var, resolve_level
 from fusionlab.dsl import parse_rule
 from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, InvalidRangeError, OverlapError
 from fusionlab.expand import (
@@ -460,9 +461,10 @@ def oracle_widest_pair(vertices, vol_n):
     return max(pairs, key=lambda pair: pair[0], default=(Fraction(0), 0, 0))
 
 
-def oracle_hull(rule, n, N):
-    """The hull of M_{n,N} and the pair of vertices realizing its diameter."""
-    m = transition_matrix(rule, n, N)
+def oracle_hull(rule, n, N, matrix=transition_matrix):
+    """The hull of M_{n,N}, as matrix computes it, and the pair of vertices
+    realizing its diameter."""
+    m = matrix(rule, n, N)
     vol_n, vol_N = volumes(rule, n).values, volumes(rule, N).values
     vertices = tuple(
         tuple(m.entries[i][j] / vol_N[j] for i in range(len(m.row_labels)))
@@ -501,11 +503,12 @@ FRACTIONAL_VOLUMES = tuple(Fraction(p, q) for p, q in ((1, 2), (2, 3), (3, 2), (
 
 
 @st.composite
-def fractional_1d_rules(draw):
+def fractional_1d_rules(draw, repeats=(Lit(1), Lit(2), Lit(3), Var(), BinOp("+", Var(), Lit(1)))):
     """Random 1D rules with one to three labels, fractional prototile
-    volumes and repeats that are constant or grow with the level."""
+    volumes and repeats drawn from repeats, by default constant or growing
+    with the level."""
     names = ("A", "B", "C")[: draw(st.integers(min_value=1, max_value=3))]
-    repeat = st.sampled_from((Lit(1), Lit(2), Lit(3), Var(), BinOp("+", Var(), Lit(1))))
+    repeat = st.sampled_from(repeats)
     placement = st.builds(Placement, st.sampled_from(names), repeat)
     definitions = tuple(
         SupertileDef(name, tuple(draw(st.lists(placement, min_size=1, max_size=3)))) for name in names
@@ -529,6 +532,28 @@ def shared_factor_1d_rules(draw):
     volume = st.sampled_from(FRACTIONAL_VOLUMES + (1, 2))
     prototiles = tuple(Prototile(name, draw(volume)) for name in names)
     return FusionRule("shared", 1, prototiles, definitions), f
+
+
+@st.composite
+def determinant_1d_rules(draw):
+    """Random 1D rules over A and B whose repeats are all multiples of a
+    drawn k, so that the determinant of a square step shares factors with
+    its entries. B may repeat A's body, so that every square step has det
+    0; and a label T may live at the levels 2^m - c, which makes the steps
+    into and out of those levels non-square, the label set changing."""
+    k = draw(st.sampled_from((2, 3, 6)))
+    repeat = st.sampled_from((Lit(k), Lit(2 * k), BinOp("*", Lit(k), Var()), BinOp("*", Lit(k), BinOp("+", Var(), Lit(1)))))
+    body = st.lists(st.builds(Placement, st.sampled_from("AB"), repeat), min_size=1, max_size=3).map(tuple)
+    a = draw(body)
+    definitions = [SupertileDef("A", a), SupertileDef("B", a if draw(st.booleans()) else draw(body))]
+    if draw(st.booleans()):
+        c = draw(st.integers(min_value=0, max_value=1))
+        # T at the levels where ispow(2, n + c) holds; A reads it one level up
+        after_t = IsPow(2, BinOp("+", Var(), Lit(c - 1)))
+        definitions.insert(0, SupertileDef("A", (Placement("T", draw(repeat)), Placement("B", draw(repeat))), after_t))
+        definitions.append(SupertileDef("T", draw(body), IsPow(2, BinOp("+", Var(), Lit(c)))))
+    volume = st.sampled_from(FRACTIONAL_VOLUMES + (1, 2))
+    return FusionRule("det", 1, (Prototile("A", draw(volume)), Prototile("B", draw(volume))), tuple(definitions))
 
 
 def content(cols):
@@ -678,6 +703,52 @@ class TestHullOracle:
         b, c = rep.hull.vertices[1:]
         assert sum(abs(x - y) for x, y in zip(b, c)) == 2
         assert b == (Fraction(6, 7), Fraction(1, 7), Fraction(0))
+
+
+class TestDeterminantContent:
+    # _DET_BITS only decides when the gcd starts from det S; at 0 it always does
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rule=determinant_1d_rules(),
+        n=st.integers(min_value=0, max_value=3),
+        span=st.integers(min_value=1, max_value=9),
+        bits=st.sampled_from((0, transition._DET_BITS)),
+    )
+    def test_contents_equal_the_full_gcd(self, rule, n, span, bits):
+        with mock.patch.object(transition, "_DET_BITS", bits):
+            assert_reduced(rule, n, n + span)
+            tol, floor = Fraction(1, 10**6), Fraction(1, 100)
+            assert ergodicity_report(rule, n, n + span, tol, 2, floor) == oracle_report(rule, n, n + span, tol, 2, floor)
+            assert frequency_hull(rule, n, n + span) == oracle_hull(rule, n, n + span)[0]
+
+    @pytest.mark.parametrize("text, dets", [
+        # det S = 4 - 24 = -20 at every step, sharing 2 and 4 with the entries
+        ("A = A^(2) B^(4)\n  B = A^(6) B^(2)", [20] * 8),
+        # det S = 0: the columns are equal, as thue_morse's are not
+        ("A = A^(3) B^(6)\n  B = A^(3) B^(6)", [0] * 8),
+        # T at levels 1, 3 and 7 (n + 1 a power of 2): the steps into and out of
+        # them are not square; between them det S = 4 - 16 = -12
+        ("A = T^(2) B^(2) if ispow(2, n)\n  A = A^(2) B^(4)\n  B = A^(4) B^(2)\n  T = B^(2) A^(2) if ispow(2, n + 1)",
+         [0, 0, 0, 0, 12, 12, 0, 0]),
+    ], ids=["shared", "singular", "labels-change"])
+    def test_step_determinants(self, text, dets, monkeypatch):
+        rule = parse_rule(f"rule det dim 1\nprototile A\nprototile B\nlevel default:\n  {text}\n")
+        assert [transition._step_det(rule, k) for k in range(1, 9)] == dets
+        monkeypatch.setattr(transition, "_DET_BITS", 0)
+        assert_reduced(rule, 0, 12)
+        assert_reduced(rule, 2, 12)
+
+    def test_determinant_is_found_once_for_a_level_free_rule(self, monkeypatch):
+        calls = []
+        step_det = transition._step_det
+        monkeypatch.setattr(transition, "_step_det", lambda rule, k: calls.append(k) or step_det(rule, k))
+        for cols in transition._reduced_column_rows(load_builtin("fibonacci"), 0, 2000):
+            assert content(cols) == 1
+        assert calls == [2]  # det -1, once entries pass _DET_BITS
+        calls.clear()
+        monkeypatch.setattr(transition, "_DET_BITS", 0)
+        assert_reduced(load_builtin("ten_pow_n"), 0, 5)
+        assert calls == [1, 2, 3, 4, 5]
 
 
 class TestErgodicity:

@@ -1,15 +1,32 @@
+import dataclasses
+import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_analysis import content, fractional_1d_rules, oracle_hull
+from test_expand import outcome, small_2d_rules
 
+from fusionlab.analysis import frequency_hull
 from fusionlab.builtins import builtin_names, builtin_text, load_builtin
-from fusionlab.core import FusionRule, Placement, Prototile, SupertileDef
-from fusionlab.dsl import parse_rule
-from fusionlab.errors import InvalidRangeError, UnknownLabelError, ValidationError
+from fusionlab.core import BinOp, Cmp, FusionRule, Lit, Placement, Prototile, SupertileDef, Var, resolve_level, validate_rule
+from fusionlab.dsl import parse_rule, parse_rule_text
+from fusionlab.errors import InvalidRangeError, NegativeExponentError, UndefinedLabelError, UnknownLabelError, ValidationError
 from fusionlab.expand import cell_count, expand_supertile, tile_census
-from fusionlab.transition import compose, step_matrix, transition_matrix, volumes
+from fusionlab.transition import (
+    TransitionMatrix,
+    _det,
+    _top_columns,
+    compose,
+    step_matrix,
+    transition_matrix,
+    volumes,
+)
 
 ALL = builtin_names()
 
@@ -180,3 +197,188 @@ def test_empty_body_is_rejected_on_construction():
     with pytest.raises(ValidationError) as exc:
         FusionRule("empty", 1, (Prototile("A"), Prototile("B")), defs)
     assert [(d.code, d.label) for d in exc.value.diagnostics] == [("empty-body", "B")]
+
+
+# ---------------------------------------------------------------------------
+# Level-free rules: matrices by repeated squaring, checked against the
+# level-by-level fold
+# ---------------------------------------------------------------------------
+
+
+def fold_matrix(rule, n, N):
+    """M[n -> N] folded one level at a time over every level n+1..N: the
+    oracle of the powered matrices."""
+    labels = resolve_level(rule, n).labels
+    cols = {label: tuple(int(i == j) for i in range(len(labels))) for j, label in enumerate(labels)}
+    for k in range(n + 1, N + 1):
+        cols = {
+            s.label: tuple(sum(p.repeat * cols[p.child][i] for p in s.body) for i in range(len(labels)))
+            for s in resolve_level(rule, k).supertiles
+        }
+    return TransitionMatrix(n, N, labels, tuple(cols), tuple(zip(*cols.values())))
+
+
+def twin(rule):
+    """An equal rule with a level table of its own, cold."""
+    return dataclasses.replace(rule)
+
+
+CONSTANT_REPEATS = (Lit(1), Lit(2), Lit(3), BinOp("*", Lit(2), Lit(3)))
+TRUE, FALSE = Cmp("<", Lit(1), Lit(2)), Cmp("==", Lit(1), Lit(2))
+
+
+@st.composite
+def faulty_level_free_rules(draw):
+    """Level-free 1D rules over prototiles A and B whose definitions may
+    name C, be missing for A or B, or never fire, and whose repeats may be
+    0 or raise 2 to a negative power: many fail at level 1 or at level 2
+    (a child that is a prototile but not a level-1 label)."""
+    repeat = st.sampled_from(CONSTANT_REPEATS + (Lit(0), BinOp("^", Lit(2), Lit(-1))))
+    placement = st.builds(Placement, st.sampled_from("ABC"), repeat)
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=4))
+    definitions = tuple(
+        SupertileDef(label, tuple(draw(st.lists(placement, min_size=1, max_size=3))), draw(st.sampled_from((TRUE, FALSE))))
+        for label in labels
+    )
+    return FusionRule("faulty", 1, (Prototile("A"), Prototile("B")), definitions)
+
+
+level_free_rules = st.one_of(
+    fractional_1d_rules(repeats=CONSTANT_REPEATS), small_2d_rules(), faulty_level_free_rules()
+)
+
+
+class TestLevelFreePowers:
+    @settings(max_examples=150, deadline=None)
+    @given(rule=level_free_rules, k=st.integers(min_value=3, max_value=9), large=st.sampled_from((23, 64)))
+    def test_powers_equal_the_fold(self, rule, k, large):
+        assert rule._level_free
+        for n in (0, 1, 2, k):
+            for N in sorted({n, n + 1, 1, 2, large}):
+                cold, oracle = twin(rule), twin(rule)
+                got = outcome(lambda: transition_matrix(cold, n, N))
+                want = outcome(lambda: fold_matrix(oracle, n, N) if n <= N else transition_matrix(oracle, n, N))
+                assert got == want
+                if isinstance(got, TransitionMatrix):
+                    assert len(cold._levels["resolutions"]) <= 3
+                    # the hulls' columns: the powered matrix over its content, once
+                    labels, cols = _top_columns(twin(rule), n, N, True)
+                    c = content(dict(zip(got.col_labels, zip(*got.entries))))
+                    assert labels == got.row_labels
+                    assert cols == {label: tuple(e // c for e in col) for label, col in zip(got.col_labels, zip(*got.entries))}
+                elif N >= n:  # the same error from the same first failing level, at most 2
+                    assert len(cold._levels["resolutions"]) == len(oracle._levels["resolutions"]) <= 2
+                if N > n:
+                    cold, oracle = twin(rule), twin(rule)
+                    got = outcome(lambda: frequency_hull(cold, n, N))
+                    want = outcome(lambda: oracle_hull(oracle, n, N, fold_matrix)[0])
+                    assert got == want
+
+    def test_a_failing_level_one_raises_as_the_walk_does(self):
+        # C is neither a prototile nor a label of level 0
+        rule = FusionRule("one", 1, (Prototile("A"), Prototile("B")), (SupertileDef("A", (Placement("A"), Placement("C"))),))
+        assert rule._level_free
+        for N in (1, 2, 50):
+            with pytest.raises(UndefinedLabelError) as exc:
+                transition_matrix(twin(rule), 0, N)
+            assert (exc.value.label, exc.value.level) == ("C", 1)
+            with pytest.raises(UndefinedLabelError) as exc:
+                frequency_hull(twin(rule), 0, N)
+            assert (exc.value.label, exc.value.level) == ("C", 1)
+
+    def test_a_failing_level_two_raises_only_past_level_one(self):
+        # B is a prototile, so level 1 resolves, but not a label of level 1
+        rule = FusionRule("two", 1, (Prototile("A"), Prototile("B")), (SupertileDef("A", (Placement("A"), Placement("B"))),))
+        assert rule._level_free
+        cold = twin(rule)
+        assert transition_matrix(cold, 0, 1).entries == ((1,), (1,))
+        assert len(cold._levels["resolutions"]) == 2
+        assert frequency_hull(twin(rule), 0, 1).vertices == ((Fraction(1, 2), Fraction(1, 2)),)
+        for n, N in ((0, 2), (0, 50), (1, 2), (1, 50), (7, 7), (7, 90)):
+            cold = twin(rule)
+            with pytest.raises(UndefinedLabelError) as exc:
+                transition_matrix(cold, n, N)
+            assert (exc.value.label, exc.value.level) == ("B", 2)
+            assert len(cold._levels["resolutions"]) == 2
+
+    def test_validation_stops_at_level_two(self):
+        text = "rule two dim 1\nprototile A\nprototile B\nlevel default:\n  A = A B\n"
+        rule = parse_rule_text(text)
+        assert validate_rule(rule, 1) == []
+        (d,) = validate_rule(rule, 64)
+        assert (d.code, d.level, d.label) == ("undefined-label", 2, "B")
+        with pytest.raises(ValidationError):
+            parse_rule(text)
+        rule = load_builtin("fibonacci")  # validated to depth 64 by parse_rule
+        assert len(rule._levels["resolutions"]) == 3
+
+    def test_level_dependent_rules_keep_the_walk(self):
+        # offsets in 2^(n-1) and w()/h() may change a level above 2
+        assert [name for name in ALL if load_builtin(name)._level_free] == ["thue_morse", "fibonacci"]
+        # an offset 2^(5-n) raises at level 6 only
+        body = (Placement("A", Lit(1), (Lit(0), Lit(0))), Placement("A", Lit(1), (BinOp("^", Lit(2), BinOp("-", Lit(5), Var())), Lit(0))))
+        rule = FusionRule("late", 2, (Prototile("A", cells=((0, 0),)),), (SupertileDef("A", body),))
+        assert not rule._level_free
+        assert transition_matrix(twin(rule), 0, 5).entries == ((32,),)
+        with pytest.raises(NegativeExponentError):
+            transition_matrix(twin(rule), 0, 6)
+
+    def test_deep_power_keeps_three_levels_and_little_memory(self):
+        rule = load_builtin("fibonacci")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = transition_matrix(rule, 0, 10000)
+            assert m.entries == ((fib(10001), fib(10000)), (fib(10000), fib(9999)))
+            del m
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rule._levels["resolutions"]) <= 3
+        assert kept < 2**20
+
+    def test_identity_and_offsets_from_a_deep_level(self):
+        rule = load_builtin("thue_morse")
+        assert transition_matrix(rule, 500, 500).entries == ((1, 0), (0, 1))
+        assert transition_matrix(rule, 500, 503) == dataclasses.replace(transition_matrix(rule, 2, 5), from_level=500, to_level=503)
+        assert len(rule._levels["resolutions"]) == 3
+        with pytest.raises(UnknownLabelError) as exc:
+            transition_matrix(rule, 500, 503).entry("S1", "Z")
+        assert exc.value.level == 503
+
+
+def fib(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations: the oracle of
+    the fraction-free elimination."""
+    m = len(rows)
+    total = 0
+    for perm in permutations(range(m)):
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(m))
+    return total
+
+
+square_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m), min_size=m, max_size=m)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=square_matrices)
+def test_det_equals_the_permutation_sum(rows):
+    assert _det([list(row) for row in rows]) == leibniz_det(rows)
+
+
+def test_det_pivots_past_zeros():
+    assert _det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert _det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _det([[0, 2], [0, 3]]) == 0
+    assert _det([[10**40, 1], [1, 10**40]]) == 10**80 - 1
