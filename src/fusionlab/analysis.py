@@ -24,7 +24,9 @@ A 2D van Hove ratio is read from the supertile's row runs, which one
 fold over the levels merges from the children's runs, so its cost grows
 with the boundary and not with the area; a supertile is expanded only to
 name the tiles of an overlap. 1D word counts likewise come from one fold
-over the children's ends, never from an expansion.
+over the children's ends, never from an expansion; on a level-free rule
+the fold stops once the ends repeat, and the counts of the requested
+level are a power of one period's affine recurrence (_word_counts).
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, repeat
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .core import FusionRule, Runs, _entry, resolve_level
+from .core import FusionRule, Runs, _entry, _product, _step_rows, _times_power, resolve_level
 from .errors import InvalidRangeError, _frac_str
 from .expand import (
     CellPatch,
@@ -421,19 +424,63 @@ def word_count(
     Counted bottom-up over the levels, never by expanding: occurrences
     inside children plus occurrences across seams, read off the children's
     prefixes and suffixes of length |word|-1 (see expand._word_rows). There
-    is no budget: supertiles with 10^n children or at level 2000 stay cheap.
+    is no budget: supertiles with 10^n children cost what their counts'
+    integers cost, and a level-free rule's counts at level 100000 take
+    about log2(level) matrix products (see _word_counts).
     """
     return _entry(_word_counts(rule, word, level), label, level)
 
 
 def _word_counts(rule: FusionRule, word: Union[str, tuple[str, ...]], level: int) -> dict[str, int]:
-    """Occurrences of the word in every level-n supertile, from one pass."""
+    """Occurrences of the word in every level-n supertile, from one pass.
+
+    A level-free rule fuses every level k >= 2 by level 2's bodies, so its
+    counts obey c_k = c_{k-1} . S + s_k, S the step into level 2 and s_k
+    the seam term, the occurrences across the seams of the level-k bodies,
+    read off the heads and tails of the level-(k-1) supertiles. Those ends,
+    the state of a level, fix the next level's state and seam term. The
+    walk keeps each level's state from level 1 up, and at the first level
+    k whose state is that of an earlier level j, s repeats with period
+    p = k - j from level j + 1 on. One period is the affine map
+    (c, 1) -> (c, 1) . B_{j+1} ... B_k, B_i = [[S, 0], [s_i, 1]], so the
+    counts at level j + q p + r are (c_j, 1) . P^q . B_{j+1} ... B_{j+r}:
+    about log2(level) products of (m+1) x (m+1) matrices for m labels,
+    and no level above k is fused. A walk that reaches level first returns
+    its row, as a rule that is not level-free always does.
+    """
     if rule.dimension != 1:
         raise ValueError("word_count is for 1D rules")
     if level < 0:
         raise ValueError("level must be >= 0")
-    row = deque(_word_rows(rule, word, level), maxlen=1)[0]
-    return {label: count for label, (count, *_) in row.items()}
+    rows = _word_rows(rule, word, level)
+    if not rule._level_free:
+        row = deque(rows, maxlen=1)[0]
+        return {label: count for label, (count, *_) in row.items()}
+    counts = []  # per level walked, its counts in label order
+    seen: dict = {}  # state -> the first level from 1 up that had it
+    for k, row in enumerate(rows):
+        counts.append([count for count, *_ in row.values()])
+        if k:
+            state = tuple((head, tail) for *_, head, tail in row.values())
+            if state in seen:
+                break
+            seen[state] = k
+    else:
+        return dict(zip(row, counts[-1]))
+    j = seen[state]
+    step = _step_rows(rule, 2)
+
+    def affine(i: int) -> list[list[int]]:
+        # B_i, whose last row is (s_i, 1)
+        seam = [c - e for c, e in zip(counts[i], _product((counts[i - 1],), step)[0])]
+        return [row + [0] for row in step] + [seam + [1]]
+
+    period = [affine(i) for i in range(j + 1, k + 1)]
+    q, r = divmod(level - j, k - j)
+    x = _times_power((counts[j] + [1],), reduce(_product, period), q)
+    for b in period[:r]:
+        x = _product(x, b)
+    return dict(zip(row, x[0][:-1]))
 
 
 def patch_count_2d(

@@ -16,9 +16,12 @@ resolutions, tile/cell counts, volumes and, for 2D rules, bounding boxes)
 lives in a private table on the rule object, lists filled by one loop up
 to the highest level asked for and freed with the rule. Every other
 bottom-up pass (matrices, row runs, word counts and ends, expansions) is
-one fold, _fold_levels. Neither costs a stack frame per level. All
-arithmetic is exact: Python integers for counts and sizes,
-fractions.Fraction for volumes.
+one fold, _fold_levels. Neither costs a stack frame per level. A
+level-free rule (FusionRule._level_free) resolves every level from 2 up as
+level 2, so its table stops at level 2: a fold reads level 2's supertiles
+for every later level, and its counts and volumes are level 2's times a
+power of the step into level 2 (_times_power). All arithmetic is exact:
+Python integers for counts and sizes, fractions.Fraction for volumes.
 """
 
 from __future__ import annotations
@@ -350,8 +353,10 @@ class FusionRule:
 
     @cached_property
     def _levels(self) -> dict[object, list]:
-        # derived lists keyed by what they hold, each indexed by level; not
-        # a dataclass field, so it takes no part in eq, hash or repr
+        # derived lists keyed by what they hold, each indexed by level, and
+        # for a level-free rule the (level, totals) that _weighted_sums last
+        # powered to, under (key, "last"); not a dataclass field, so it
+        # takes no part in eq, hash or repr
         return {}
 
     @cached_property
@@ -441,6 +446,8 @@ def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
     Among several definitions for the same label, the first whose guard
     holds wins. Repeats and offsets see the previous level's bounding boxes
     through w()/h(); the boxes are computed only for rules that use them.
+    A level-free rule (FusionRule._level_free) keeps levels 0..2 only, and
+    any level above 2 is level 2's supertiles under its own number.
     """
 
     def row(k: int, prev: LevelResolution) -> LevelResolution:
@@ -468,6 +475,9 @@ def resolve_level(rule: FusionRule, n: int) -> LevelResolution:
             raise EmptyLevelError(k)
         return LevelResolution(k, tuple(taken.values()))
 
+    if rule._level_free and n > 2:
+        # levels 0..2 resolve in order, so a failure raises from its own level
+        return LevelResolution(n, _level_rows(rule, "resolutions", 2, row)[2].supertiles)
     return _level_rows(rule, "resolutions", n, row)[n]
 
 
@@ -526,7 +536,12 @@ def _weighted_sums(rule: FusionRule, n: int, key: str) -> dict[str, Any]:
     counts or volumes.
 
     Level 0 is the weight of each prototile; each higher level sums repeat
-    x child total over each body.
+    x child total over each body. A level-free rule keeps levels 0..2, and
+    its level-n totals are level k's times S^(n-k), S the step into level
+    2, from k = 2 or from the level it was last asked for, if that is not
+    above n, kept as one entry (level, totals) under (key, "last"): a sweep
+    up the levels, as van_hove_diagnostic's, then costs one product per
+    level, and a single deep level about log2(n) products.
     """
 
     def row(k: int, prev) -> dict[str, Any]:
@@ -537,7 +552,45 @@ def _weighted_sums(rule: FusionRule, n: int, key: str) -> dict[str, Any]:
             for s in resolve_level(rule, k).supertiles
         }
 
-    return _level_rows(rule, key, n, row)[n]
+    if not rule._level_free or n <= 2:
+        return _level_rows(rule, key, n, row)[n]
+    k, sums = rule._levels.get((key, "last"), (2, None))
+    if k > n or sums is None:
+        k, sums = 2, _level_rows(rule, key, 2, row)[2]
+    if k < n:
+        sums = dict(zip(sums, _times_power((tuple(sums.values()),), _step_rows(rule, 2), n - k)[0]))
+        rule._levels[key, "last"] = (n, sums)
+    return sums
+
+
+def _step_rows(rule: FusionRule, k: int) -> list[list[int]]:
+    """The step matrix S from level k-1 into level k (k >= 1), as fresh row
+    lists: S[i][j] sums the repeats of level-(k-1) label i in the body of
+    level-k supertile j, so M[n -> k] = M[n -> k-1] . S."""
+    index = {label: i for i, label in enumerate(resolve_level(rule, k - 1).labels)}
+    supertiles = resolve_level(rule, k).supertiles
+    rows = [[0] * len(supertiles) for _ in index]
+    for j, s in enumerate(supertiles):
+        for p in s.body:
+            rows[index[p.child]][j] += p.repeat
+    return rows
+
+
+def _product(a, b) -> tuple[tuple[Any, ...], ...]:
+    """Entries of the matrix product a . b, each matrix given by its rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+
+def _times_power(m, s, p: int) -> tuple:
+    """Entries of m . s^p (p >= 0), squaring s once per bit of p."""
+    while p:
+        if p & 1:
+            m = _product(m, s)
+        p >>= 1
+        if p:
+            s = _product(s, s)
+    return m
 
 
 # ---------------------------------------------------------------------------

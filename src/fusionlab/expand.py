@@ -8,7 +8,11 @@ astronomically large supertile fails fast instead of exhausting memory.
 Every pass here is one fold over the levels (core._fold_levels), which
 builds each level's values from the level below, one fusion step at a
 time: an expansion, the row runs of every supertile (_run_rows), word
-counts (_word_rows) and word ends (prefix_suffix).
+counts (_word_rows) and word ends (prefix_suffix). A word count adds a
+run of copies of a child in one multiplication and walks the copies only
+for the small counts across their seams; analysis._word_counts stops the
+fold of a level-free rule once its supertiles' ends repeat and raises the
+rest by repeated squaring.
 
 A 2D expansion carries each supertile it needs as three flat lists, the
 anchor x, anchor y and label of each tile, so the fold allocates no tuple
@@ -475,13 +479,17 @@ def _word_rows(rule: FusionRule, word: Union[str, tuple[str, ...]], top: int, pl
     whose products can run to thousands of digits, are summed only when
     place is true (is_admissible); counts alone cost no size arithmetic.
 
-    Each supertile is a left fold over its body. At each seam it adds the
-    windows that start left of the seam and end in the new piece, using the
-    running suffix, so a window across several short children is counted
-    once, at the seam where its last piece begins. Within a run of copies
-    the suffix stops changing after at most |word| copies, and from then on
-    each copy adds the same count: 10^300 copies cost one multiplication.
-    The running tile count places the first occurrence.
+    Each supertile is a left fold over its body. A run of R copies of a
+    child adds R times the child's count in one multiplication. The copies
+    are walked only for the seams: at each seam the fold counts the windows
+    that start left of it and end in the new piece, using the running
+    suffix, so a window across several short children is counted once, at
+    the seam where its last piece begins. Within a run the suffix stops
+    changing after at most |word| copies, and from then on each seam adds
+    the same count, so 10^300 copies cost one more multiplication, of a
+    small seam count. The seam counts are summed apart and added to the
+    count once per supertile, so a level costs about what its counts'
+    integers cost. The running tile count places the first occurrence.
     """
     labels = parse_word(rule, word) if isinstance(word, str) else tuple(word)
     if not labels:
@@ -489,26 +497,27 @@ def _word_rows(rule: FusionRule, word: Union[str, tuple[str, ...]], top: int, pl
     keep = len(labels) - 1
 
     def fuse(body, prev):
-        count, first, size, head, tail = 0, None, 0, (), ()
+        count, seams, first, size, head, tail = 0, 0, None, 0, (), ()
         for p in body:
             inside, at, child_size, child_head, child_tail = prev[p.child]
+            count += p.repeat * inside
             for copy in range(p.repeat):
                 crossing, cross_at = _cross_count(tail, child_head, labels)
                 if place and first is None and (crossing or inside):
                     first = size + copy * child_size + (cross_at - len(tail) if crossing else at)
-                count += crossing + inside
+                seams += crossing
                 head = (head + child_head)[:keep]
                 joined = tail + child_tail
                 joined = joined[max(0, len(joined) - keep) :]
                 if joined == tail:
                     # the next copies see this same suffix, and the head
                     # is full by now
-                    count += (p.repeat - copy - 1) * (crossing + inside)
+                    seams += (p.repeat - copy - 1) * crossing
                     break
                 tail = joined
             if place:
                 size += p.repeat * child_size
-        return count, first, size, head, tail
+        return count + seams, first, size, head, tail
 
     row = {
         lab: ((1, 0) if labels == (lab,) else (0, None)) + (1, (lab,)[:keep], (lab,)[:keep])

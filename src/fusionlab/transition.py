@@ -12,7 +12,8 @@ level-k supertile j. A level-free rule (FusionRule._level_free, whose
 guards, repeats and offsets read neither n nor w()/h()) is a substitution:
 every level from 2 up resolves as level 2 does, so its matrices fold only
 up to level 2 and reach M[n -> N] by repeated squaring of the step S into
-level 2. compose multiplies through the same entry product, _product.
+level 2. compose multiplies through the same entry product,
+core._product.
 
 The hulls read M[n -> k] up to scale only, so their fold
 (_reduced_column_rows) divides each level's matrix by its content, the gcd
@@ -26,13 +27,12 @@ so each level's gcd starts from |det S|, found by fraction-free elimination
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import FusionRule, _fold_levels, _weighted_sums, resolve_level
+from .core import FusionRule, _fold_levels, _product, _step_rows, _times_power, _weighted_sums, resolve_level
 from .errors import InvalidRangeError, UnknownLabelError
 
 
@@ -89,23 +89,6 @@ def compose(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
     return TransitionMatrix(a.from_level, b.to_level, a.row_labels, b.col_labels, _product(a.entries, b.entries))
 
 
-def _product(a: tuple, b: tuple) -> tuple[tuple[int, ...], ...]:
-    """Entries of the matrix product a . b, each matrix given by its rows."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
-
-
-def _times_power(m: tuple, s: tuple, p: int) -> tuple:
-    """Entries of m . s^p (p >= 0), squaring s once per bit of p."""
-    while p:
-        if p & 1:
-            m = _product(m, s)
-        p >>= 1
-        if p:
-            s = _product(s, s)
-    return m
-
-
 def step_matrix(rule: FusionRule, k: int) -> TransitionMatrix:
     """One-level matrix from level k-1 to level k (k >= 1)."""
     return transition_matrix(rule, k - 1, k)
@@ -144,8 +127,7 @@ def _top_columns(rule: FusionRule, n: int, N: int, reduced: bool) -> tuple[tuple
     top = N - n + b
     cols = deque(_column_rows(rule, b, min(top, 2)), maxlen=1)[0]
     if top > 2:
-        step = tuple(zip(*deque(_column_rows(rule, 1, 2), maxlen=1)[0].values()))
-        cols = dict(zip(cols, zip(*_times_power(tuple(zip(*cols.values())), step, top - 2))))
+        cols = dict(zip(cols, zip(*_times_power(tuple(zip(*cols.values())), _step_rows(rule, 2), top - 2))))
     if reduced:
         _divide(cols, _content(cols, 0))
     return resolve_level(rule, b).labels, cols
@@ -220,15 +202,8 @@ def _content(cols: dict, g: int) -> int:
 
 def _step_det(rule: FusionRule, k: int) -> int:
     """|det S| of the step from level k-1 into level k, 0 if not square."""
-    index = {label: i for i, label in enumerate(resolve_level(rule, k - 1).labels)}
-    supertiles = resolve_level(rule, k).supertiles
-    if len(index) != len(supertiles):
-        return 0
-    rows = [[0] * len(index) for _ in index]
-    for j, s in enumerate(supertiles):
-        for p in s.body:
-            rows[index[p.child]][j] += p.repeat
-    return abs(_det(rows))
+    rows = _step_rows(rule, k)
+    return abs(_det(rows)) if len(rows) == len(rows[0]) else 0
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -263,7 +238,8 @@ def volumes(rule: FusionRule, n: int) -> VolumeVector:
     """Exact volumes of the level-n supertiles.
 
     Level 0 reads the prototile declarations; level n sums repeat x child
-    volume over each body.
+    volume over each body, or for a level-free rule is level 2's volumes
+    times a power of the step into level 2 (core._weighted_sums).
     """
     sums = _weighted_sums(rule, n, "volume")
     return VolumeVector(n, tuple(sums), tuple(sums.values()))

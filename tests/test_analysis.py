@@ -1,5 +1,8 @@
+import dataclasses
 import random
+from collections import deque
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from unittest import mock
 
@@ -22,7 +25,7 @@ from fusionlab.analysis import (
     word_count,
 )
 from fusionlab.builtins import builtin_text, load_builtin
-from fusionlab.core import BinOp, FusionRule, IsPow, Lit, Placement, Prototile, SupertileDef, Var, resolve_level
+from fusionlab.core import BinOp, Cmp, FusionRule, IsPow, Lit, Placement, Prototile, SupertileDef, Var, resolve_level
 from fusionlab.dsl import parse_rule
 from fusionlab.errors import DisconnectedError, ExpansionTooLargeError, InvalidRangeError, OverlapError
 from fusionlab.expand import (
@@ -556,6 +559,34 @@ def determinant_1d_rules(draw):
     return FusionRule("det", 1, (Prototile("A", draw(volume)), Prototile("B", draw(volume))), tuple(definitions))
 
 
+CONSTANT_REPEATS = (Lit(1), Lit(2), Lit(3), BinOp("*", Lit(2), Lit(3)))
+TRUE, FALSE = Cmp("<", Lit(1), Lit(2)), Cmp("==", Lit(1), Lit(2))
+
+
+@st.composite
+def faulty_level_free_rules(draw):
+    """Level-free 1D rules over prototiles A and B whose definitions may
+    name C, be missing for A or B, or never fire, and whose repeats may be
+    0 or raise 2 to a negative power: many fail at level 1 or at level 2
+    (a child that is a prototile but not a level-1 label)."""
+    repeat = st.sampled_from(CONSTANT_REPEATS + (Lit(0), BinOp("^", Lit(2), Lit(-1))))
+    placement = st.builds(Placement, st.sampled_from("ABC"), repeat)
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=4))
+    definitions = tuple(
+        SupertileDef(label, tuple(draw(st.lists(placement, min_size=1, max_size=3))), draw(st.sampled_from((TRUE, FALSE))))
+        for label in labels
+    )
+    return FusionRule("faulty", 1, (Prototile("A"), Prototile("B")), definitions)
+
+
+level_free_1d_rules = st.one_of(fractional_1d_rules(repeats=CONSTANT_REPEATS), faulty_level_free_rules())
+
+
+def twin(rule):
+    """An equal rule with a level table of its own, cold."""
+    return dataclasses.replace(rule)
+
+
 def content(cols):
     """The gcd of every entry of a level's columns."""
     return gcd(*(e for col in cols.values() for e in col))
@@ -927,6 +958,65 @@ class TestWordCount:
     def test_rejects_2d_rules(self):
         with pytest.raises(ValueError):
             word_count(load_builtin("chair"), "AA", 1, "NE")
+
+    @pytest.mark.parametrize("name, level", [("ten_pow_n", 60), ("fiblike", 300), ("fibonacci", 300), ("thue_morse", 300)])
+    def test_census_at_deep_levels(self, name, level):
+        # past any expansion: every window of length m is one occurrence of
+        # one word of length m, and a letter counts as its matrix entry
+        rule = load_builtin(name)
+        chars = sorted(label_chars(rule).values())
+        m = transition_matrix(rule, 0, level)
+        for lab in m.col_labels:
+            for row, char in zip(m.row_labels, chars):
+                assert word_count(rule, char, level, lab) == m.entry(row, lab)
+            for k in (2, 3):
+                total = sum(word_count(rule, "".join(w), level, lab) for w in product(chars, repeat=k))
+                assert total == sum(m.column(lab)) - k + 1
+
+
+def walked_counts(rule, word, level):
+    """The counts of every level-`level` supertile, from the fold over every
+    level: the oracle of the powered counts."""
+    row = deque(expand._word_rows(rule, word, level), maxlen=1)[0]
+    return {label: count for label, (count, *_) in row.items()}
+
+
+class TestLevelFreeWordCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(rule=level_free_1d_rules, data=st.data())
+    def test_powers_equal_the_walk(self, rule, data):
+        assert rule._level_free
+        word = tuple(data.draw(st.lists(st.sampled_from(rule.prototile_names()), min_size=1, max_size=6)))
+        for level in (*range(10), 23, 64, 300):
+            cold, oracle = twin(rule), twin(rule)
+            got = outcome(lambda: analysis._word_counts(cold, word, level))
+            want = outcome(lambda: walked_counts(oracle, word, level))
+            assert got == want
+            # the same levels resolved, at most 3, so an error raises from
+            # the same first failing level
+            assert len(cold._levels.get("resolutions", ())) == len(oracle._levels.get("resolutions", ())) <= 3
+
+    @pytest.mark.parametrize("name, words", [("fibonacci", ("ABAAB", "BAA", "AB", "B")), ("thue_morse", ("ABBA", "BAAB", "AAB", "A"))])
+    def test_tails_of_period_two(self, name, words):
+        rule = load_builtin(name)
+        for w in words:
+            # the last label of a supertile flips from level to level, so the
+            # ends of a word longer than one label repeat with period 2
+            states = [tuple((head, tail) for *_, head, tail in row.values()) for row in expand._word_rows(rule, w, 9)]
+            assert states[9] == states[7] and (states[8] == states[7]) == (len(w) == 1)
+            for level in range(13):
+                for lab in resolve_level(rule, level).labels:
+                    text = word(rule, level, lab)
+                    assert word_count(rule, w, level, lab) == sum(text.startswith(w, i) for i in range(len(text)))
+            for level in (100, 101, 1001):
+                assert analysis._word_counts(rule, w, level) == walked_counts(twin(rule), w, level)
+        assert len(rule._levels["resolutions"]) == 3
+
+    def test_deep_counts_keep_three_levels(self):
+        rule = load_builtin("fibonacci")
+        count = word_count(rule, "ABAAB", 100000, "A")
+        assert count.bit_length() > 69000
+        assert len(rule._levels["resolutions"]) == 3
 
 
 class TestPatchCount2D:

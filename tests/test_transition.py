@@ -9,15 +9,15 @@ from math import prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_analysis import content, fractional_1d_rules, oracle_hull
+from test_analysis import content, level_free_1d_rules, oracle_hull, twin
 from test_expand import outcome, small_2d_rules
 
-from fusionlab.analysis import frequency_hull
+from fusionlab.analysis import ergodicity_report, frequency_hull
 from fusionlab.builtins import builtin_names, builtin_text, load_builtin
-from fusionlab.core import BinOp, Cmp, FusionRule, Lit, Placement, Prototile, SupertileDef, Var, resolve_level, validate_rule
+from fusionlab.core import BinOp, FusionRule, Lit, Placement, Prototile, SupertileDef, Var, resolve_level, validate_rule
 from fusionlab.dsl import parse_rule, parse_rule_text
 from fusionlab.errors import InvalidRangeError, NegativeExponentError, UndefinedLabelError, UnknownLabelError, ValidationError
-from fusionlab.expand import cell_count, expand_supertile, tile_census
+from fusionlab.expand import cell_count, expand_supertile, tile_census, tile_count
 from fusionlab.transition import (
     TransitionMatrix,
     _det,
@@ -218,34 +218,19 @@ def fold_matrix(rule, n, N):
     return TransitionMatrix(n, N, labels, tuple(cols), tuple(zip(*cols.values())))
 
 
-def twin(rule):
-    """An equal rule with a level table of its own, cold."""
-    return dataclasses.replace(rule)
+def fold_sums(rule, n):
+    """Per level-n label, its volume, tile count and cell count, each a
+    weighted sum of its column of fold_matrix: the oracle of the powered
+    sums."""
+    m = fold_matrix(rule, 0, n)
+    weights = [(p.volume, 1, len(p.cells) if p.cells else 1) for p in rule.prototiles]
+    return {
+        label: tuple(sum(w[k] * e for w, e in zip(weights, col)) for k in range(3))
+        for label, col in zip(m.col_labels, zip(*m.entries))
+    }
 
 
-CONSTANT_REPEATS = (Lit(1), Lit(2), Lit(3), BinOp("*", Lit(2), Lit(3)))
-TRUE, FALSE = Cmp("<", Lit(1), Lit(2)), Cmp("==", Lit(1), Lit(2))
-
-
-@st.composite
-def faulty_level_free_rules(draw):
-    """Level-free 1D rules over prototiles A and B whose definitions may
-    name C, be missing for A or B, or never fire, and whose repeats may be
-    0 or raise 2 to a negative power: many fail at level 1 or at level 2
-    (a child that is a prototile but not a level-1 label)."""
-    repeat = st.sampled_from(CONSTANT_REPEATS + (Lit(0), BinOp("^", Lit(2), Lit(-1))))
-    placement = st.builds(Placement, st.sampled_from("ABC"), repeat)
-    labels = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=4))
-    definitions = tuple(
-        SupertileDef(label, tuple(draw(st.lists(placement, min_size=1, max_size=3))), draw(st.sampled_from((TRUE, FALSE))))
-        for label in labels
-    )
-    return FusionRule("faulty", 1, (Prototile("A"), Prototile("B")), definitions)
-
-
-level_free_rules = st.one_of(
-    fractional_1d_rules(repeats=CONSTANT_REPEATS), small_2d_rules(), faulty_level_free_rules()
-)
+level_free_rules = st.one_of(level_free_1d_rules, small_2d_rules())
 
 
 class TestLevelFreePowers:
@@ -273,6 +258,30 @@ class TestLevelFreePowers:
                     got = outcome(lambda: frequency_hull(cold, n, N))
                     want = outcome(lambda: oracle_hull(oracle, n, N, fold_matrix)[0])
                     assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(rule=level_free_rules, levels=st.lists(st.sampled_from((0, 1, 2, 3, 4, 7, 23, 64, 300)), min_size=1, max_size=6))
+    def test_sums_equal_the_fold(self, rule, levels):
+        # asked in any order, so that a level is powered from level 2 or from
+        # the level asked for before it
+        cold = twin(rule)
+        for n in levels:
+            got = outcome(lambda: {
+                label: (volumes(cold, n).value(label), tile_count(cold, n, label), cell_count(cold, n, label))
+                for label in resolve_level(cold, n).labels
+            })
+            assert got == outcome(lambda: fold_sums(twin(rule), n))
+            assert len(cold._levels.get("resolutions", ())) <= 3
+            assert all(len(cold._levels.get(key, ())) <= 3 for key in ("volume", "tiles", "cells"))
+
+    def test_deep_hull_and_sweep_keep_three_levels(self):
+        rule = load_builtin("fibonacci")
+        assert frequency_hull(rule, 10000, 10002).labels == ("A", "B")
+        assert volumes(rule, 10000).values == (fib(10002), fib(10001))
+        assert len(rule._levels["resolutions"]) <= 3 and len(rule._levels["volume"]) <= 3
+        rule = load_builtin("fibonacci")
+        assert ergodicity_report(rule, 20, 1520).verdict == "unique"
+        assert len(rule._levels["resolutions"]) <= 3
 
     def test_a_failing_level_one_raises_as_the_walk_does(self):
         # C is neither a prototile nor a label of level 0
