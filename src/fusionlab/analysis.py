@@ -12,13 +12,21 @@ is a convex combination of these vertices. A hull shrinking to a point is
 evidence (never proof, at finite depth) of a unique frequency measure.
 A vertex does not change when the whole matrix is scaled, as a column and
 its volume scale together, so the hulls read M_{n,N} with the gcd of its
-entries divided out (transition._reduced_column_rows, whose gcds start
-from the step determinants; a level-free rule's single hull divides its
-powered matrix once), and each horizon's volumes are summed from those
-reduced columns, never read from the rule's volume table past level n.
-The hull sweep compares pair distances in integers and normalizes one
-Fraction per horizon, its diameter; vertex Fractions are built only where
-a result returns them.
+entries divided out: frequency_hull divides transition_matrix's entries
+once, and the ergodicity sweep reads every horizon from one reduced fold.
+Each horizon's volumes are summed from those reduced columns, never read
+from the rule's volume table past level n. The hull sweep compares pair
+distances in integers and normalizes one Fraction per horizon, its
+diameter; vertex Fractions are built only where a result returns them.
+
+The sweep reads M[n -> k] up to scale only, so its fold
+(_reduced_column_rows) divides each level's matrix by its content, the gcd
+of its entries. As M[n -> k+1] = M[n -> k] . S for the step matrix S, the
+content of one level divides the content of the next, and the reduced
+matrix can be carried forward in its place. When S is square, the content
+of M' . S for a reduced M' also divides det S (M' . S . adj S = det S . M'),
+so each level's gcd starts from |det S|, found by fraction-free elimination
+(_det), and reduces every large entry by that small number.
 
 A 2D van Hove ratio is read from the supertile's row runs, which one
 fold over the levels merges from the children's runs, so its cost grows
@@ -51,7 +59,7 @@ from .expand import (
     expand_supertile,
     occurrences_2d,
 )
-from .transition import _column_rows, _reduced_column_rows, _top_columns, volumes
+from .transition import _column_rows, transition_matrix, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +318,102 @@ def _hull(n: int, N: int, labels, cols: dict, vol_n, L: int, vols, diameter: Fra
 def frequency_hull(rule: FusionRule, n: int, N: int) -> FrequencyHull:
     """Volume-normalized columns of M_{n,N} plus diameter and centroid.
 
-    M_{n,N} is read with its content divided out: from the last level of
-    the reduced fold, or for a level-free rule from the powered matrix,
-    divided once (transition._top_columns).
+    M_{n,N} is read from transition_matrix and its content divided out
+    once, with no gcd per level.
     """
     if N <= n or n < 0:
         raise InvalidRangeError(n, N, "0 <= from < to")
-    labels, cols = _top_columns(rule, n, N, True)
+    m = transition_matrix(rule, n, N)
+    cols = dict(zip(m.col_labels, zip(*m.entries)))
+    _divide(cols, _content(cols, 0))
     vol_n = volumes(rule, n).values
     L, w = _over_one_denominator(vol_n)
     cols_N = tuple(cols.values())
     vols = _scaled_volumes(cols_N, w)
     diameter, _, _ = _widest_pair(cols_N, w, vols)
-    return _hull(n, N, labels, cols, vol_n, L, vols, diameter)
+    return _hull(n, N, m.row_labels, cols, vol_n, L, vols, diameter)
+
+
+def _reduced_column_rows(rule: FusionRule, n: int, N: int):
+    """Yield, per level k = n..N, the columns of M[n -> k] by label divided
+    by the matrix's content, so that their entries have gcd 1.
+
+    _fold_levels folds the next level from the very dict it yielded, so the
+    division, done in that dict, carries the reduced matrix forward. The
+    content of a level's product divides |det S| of its step S, so once
+    its entries are longer than _DET_BITS the gcd starts from |det S|
+    (_step_det). It starts from 0, a full gcd, on shorter entries, where S
+    is not square and where det S = 0. A level-free rule's steps from
+    level 2 up are all the step into level 2, so its determinant is found
+    once.
+    """
+    rows = _column_rows(rule, n, N)
+    yield next(rows)  # the identity, of content 1
+    free = None  # a level-free rule's |det S| for every step from level 2 up
+    for k, cols in enumerate(rows, n + 1):
+        det = 0
+        if next(iter(cols.values()))[0].bit_length() > _DET_BITS:
+            if rule._level_free and k >= 2:
+                free = det = _step_det(rule, 2) if free is None else free
+            else:
+                det = _step_det(rule, k)
+        _divide(cols, _content(cols, det))
+        yield cols
+
+
+# The length, in bits, of a level's first entry above which its gcd starts
+# from the determinant of its step. Below it a full gcd costs less than
+# finding det S (about 4 us, as a gcd of two 350-bit entries in Euclid's
+# worst case does). Any value gives the same contents.
+_DET_BITS = 512
+
+
+def _divide(cols: dict, g: int) -> None:
+    """Divide every column, in place, by g, a common factor of the entries."""
+    if g > 1:
+        for label, col in cols.items():
+            cols[label] = tuple(e // g for e in col)
+
+
+def _content(cols: dict, g: int) -> int:
+    """The gcd of g and every entry of the columns, stopping once it is 1:
+    the content of the matrix for g = 0 or a multiple of the content. Each
+    gcd with a small g first reduces the large entry modulo g."""
+    for col in cols.values():
+        for e in col:
+            if g == 1:
+                return 1
+            g = gcd(g, e)
+    return g
+
+
+def _step_det(rule: FusionRule, k: int) -> int:
+    """|det S| of the step from level k-1 into level k, 0 if not square."""
+    rows = _step_rows(rule, k)
+    return abs(_det(rows)) if len(rows) == len(rows[0]) else 0
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, given as a list of row lists
+    that it overwrites, by fraction-free elimination (Bareiss, Math. Comp.
+    22, 1968): step k replaces each entry below and right of the pivot by a
+    2 x 2 minor divided exactly by the previous pivot, so every entry stays
+    an integer, a minor of the matrix."""
+    sign, prev = 1, 1
+    m = len(rows)
+    for k in range(m - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, m) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -367,11 +458,10 @@ def ergodicity_report(
     at least 0.
 
     Each horizon costs the gcd that reduces its columns, started from
-    |det S| of its step S where S is square
-    (transition._reduced_column_rows), and one Fraction, its diameter
-    (_widest_pair). Vertex Fractions are built for the hull at depth and,
-    when the verdict is multiple, for the two trajectory vertices of every
-    horizon.
+    |det S| of its step S where S is square (_reduced_column_rows), and
+    one Fraction, its diameter (_widest_pair). Vertex Fractions are built
+    for the hull at depth and, when the verdict is multiple, for the two
+    trajectory vertices of every horizon.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")

@@ -777,11 +777,11 @@ def validate_rule(rule: FusionRule, depth: int = 64) -> list[Diagnostic]:
     Returns diagnostics instead of raising so a caller can report the
     failing level and label. Resolution stops at the first level that
     fails, since later levels depend on its label set. A level-free rule
-    (FusionRule._level_free) resolves every level above 2 as level 2, so
-    levels 1..min(depth, 2) give its diagnostics for any depth.
+    (FusionRule._level_free) serves every level above 2 from level 2's
+    resolution, so it keeps three resolved levels at any depth.
     """
     out: list[Diagnostic] = []
-    for n in range(1, (min(depth, 2) if rule._level_free else depth) + 1):
+    for n in range(1, depth + 1):
         try:
             resolve_level(rule, n)
         except EmptyLevelError:

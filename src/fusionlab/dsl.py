@@ -227,13 +227,13 @@ class _Parser:
 
     # -- expressions and guards ---------------------------------------------
 
-    def parse_expr(self, allow_dims: bool = True) -> IntExpr:
-        return self._parse(False, allow_dims)
+    def parse_expr(self) -> IntExpr:
+        return self._parse(False)
 
     def parse_guard(self) -> Guard:
-        return self._parse(True, False)
+        return self._parse(True)
 
-    def _parse(self, guard: bool, allow_dims: bool):
+    def _parse(self, guard: bool):
         """One guard, or one expression when guard is False, read from _PREC
         with explicit operand and operator stacks (Dijkstra's shunting-yard),
         so nesting costs list entries, not stack frames.
@@ -285,7 +285,7 @@ class _Parser:
                 state = "g"
             else:
                 self.pos = pos
-                operands.append(self._atom(t, allow_dims))
+                operands.append(self._atom(t, not guard))
                 pos = self.pos
             # binary operators, and the ")" of each group they complete
             while True:

@@ -478,6 +478,8 @@ def _word_rows(rule: FusionRule, word: Union[str, tuple[str, ...]], top: int, pl
     |word|-1 labels); nothing is expanded. The start and the tile count,
     whose products can run to thousands of digits, are summed only when
     place is true (is_admissible); counts alone cost no size arithmetic.
+    The word is text (parse_word) or a sequence of prototile names; a name
+    the rule lacks raises ValueError either way.
 
     Each supertile is a left fold over its body. A run of R copies of a
     child adds R times the child's count in one multiplication. The copies
@@ -494,6 +496,10 @@ def _word_rows(rule: FusionRule, word: Union[str, tuple[str, ...]], top: int, pl
     labels = parse_word(rule, word) if isinstance(word, str) else tuple(word)
     if not labels:
         raise ValueError("empty word")
+    names = rule.prototile_names()
+    for lab in labels:
+        if lab not in names:
+            raise ValueError(f"unknown label {lab!r}")
     keep = len(labels) - 1
 
     def fuse(body, prev):
@@ -619,7 +625,7 @@ def is_admissible(
     if patch.dimension != rule.dimension:
         raise ValueError("patch dimension does not match the rule")
     if patch.dimension == 1:
-        for level, row in enumerate(_word_rows(rule, word_string(rule, patch.labels), max_level, place=True)):
+        for level, row in enumerate(_word_rows(rule, patch.labels, max_level, place=True)):
             for label, (count, first, *_) in row.items():
                 if count:
                     return AdmissibilityResult(True, level, label, (first,), level + 1)

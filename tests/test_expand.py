@@ -776,6 +776,17 @@ class TestAdmissibility:
         res = is_admissible(fib, "AA", 10)
         assert res.found and res.level == 3 and res.label == "A" and res.position == (2,)
 
+    def test_label_patch_needs_no_character_table(self):
+        # 63 two-letter names have no one-character table, which a word given
+        # as labels does not need
+        names = [f"P{i}" for i in range(63)]
+        rule = parse_rule(
+            "rule many dim 1\n" + "".join(f"prototile {p}\n" for p in names) + "level default:\n"
+            + "".join(f"  {p} = {p} {names[(i + 1) % 63]}\n" for i, p in enumerate(names))
+        )
+        res = is_admissible(rule, CellPatch.from_word(("P0", "P1")), 2)
+        assert res.found and res.level == 1 and res.label == "P0" and res.position == (0,)
+
     def test_found_patterns_persist(self):
         # once admissible, the pattern keeps appearing at deeper levels
         tm = load_builtin("thue_morse")

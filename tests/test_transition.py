@@ -9,10 +9,10 @@ from math import prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_analysis import content, level_free_1d_rules, oracle_hull, twin
+from test_analysis import level_free_1d_rules, oracle_hull, twin
 from test_expand import outcome, small_2d_rules
 
-from fusionlab.analysis import ergodicity_report, frequency_hull
+from fusionlab.analysis import _det, ergodicity_report, frequency_hull
 from fusionlab.builtins import builtin_names, builtin_text, load_builtin
 from fusionlab.core import BinOp, FusionRule, Lit, Placement, Prototile, SupertileDef, Var, resolve_level, validate_rule
 from fusionlab.dsl import parse_rule, parse_rule_text
@@ -20,8 +20,6 @@ from fusionlab.errors import InvalidRangeError, NegativeExponentError, Undefined
 from fusionlab.expand import cell_count, expand_supertile, tile_census, tile_count
 from fusionlab.transition import (
     TransitionMatrix,
-    _det,
-    _top_columns,
     compose,
     step_matrix,
     transition_matrix,
@@ -246,11 +244,6 @@ class TestLevelFreePowers:
                 assert got == want
                 if isinstance(got, TransitionMatrix):
                     assert len(cold._levels["resolutions"]) <= 3
-                    # the hulls' columns: the powered matrix over its content, once
-                    labels, cols = _top_columns(twin(rule), n, N, True)
-                    c = content(dict(zip(got.col_labels, zip(*got.entries))))
-                    assert labels == got.row_labels
-                    assert cols == {label: tuple(e // c for e in col) for label, col in zip(got.col_labels, zip(*got.entries))}
                 elif N >= n:  # the same error from the same first failing level, at most 2
                     assert len(cold._levels["resolutions"]) == len(oracle._levels["resolutions"]) <= 2
                 if N > n:
